@@ -6,7 +6,7 @@ measure carries an atom of mass 1/2 at fitness 1. Finite-size convergence
 towards that atom is extremely slow. The normalisation climbs towards
 theta* = 1 from below (~0.82 at n = 1e6), which the report checks as the
 corridor [a-priori floor, theta*) with a rising trend. The window mass on
-[0.9, 1] stays far from its limit 0.515 (~0.017 at 1e6, heavy-tailed over
+[0.9, 1] stays far from its limit 0.515 (~0.02 at 1e6, heavy-tailed over
 replicas), so the two window criteria fail at desk scale and the report's
 overall verdict is FAIL. docs/DECISIONS.md records the measured gap, and
 scripts/be_ledger.py reproduces it (`run OUT` reads this script's output).

@@ -340,24 +340,25 @@ def cmd_compare(config: ExperimentConfig, *, out_dir: Path | None = None) -> dic
     # total impact mass 1 + edges/n, within 3 SE. Under the Poisson model a
     # replica's edge count is exactly Poisson(lambda (n - 1)), so the mean of
     # R replicas has target 1 + lambda (n - 1)/n and SE
-    # sqrt(lambda (n - 1) / (R n^2)). Other models use the per-bin
-    # cross-replica SEs; with no spread in any bin, the total is compared
-    # against the exact fixed-outdegree total instead
+    # sqrt(lambda (n - 1) / (R n^2)). Under the fixed-outdegree model every
+    # replica has exactly lambda (n - 1) edges, so the total is exact. Custom
+    # kernels use the per-bin cross-replica SEs around 1 + lambda
     n = int(final["n"])
     total = float(empirical.sum())
-    totals_se = math.sqrt(sum(r["stderr"] ** 2 for r in gamma_rows))
-    if isinstance(config.attachment_model(), simulator.PoissonOutdegree):
+    model = config.attachment_model()
+    if isinstance(model, simulator.PoissonOutdegree):
         target = 1.0 + lam * (n - 1) / n
         se = math.sqrt(lam * (n - 1) / (sim["replicas"] * n * n))
         passed = abs(total - target) <= 3.0 * se
         band = {"target": target, "band": 3.0 * se}
-    elif totals_se > 0.0:
-        passed = abs(total - (1.0 + lam)) <= 3.0 * totals_se
-        band = {"target": 1.0 + lam, "band": 3.0 * totals_se}
-    else:
+    elif isinstance(model, simulator.FixedOutdegree):
         exact = (1.0 + lam) - lam / n
         passed = abs(total - exact) <= 1e-9
         band = {"target": exact, "band": "exact (deterministic outdegree)"}
+    else:
+        totals_se = math.sqrt(sum(r["stderr"] ** 2 for r in gamma_rows))
+        passed = abs(total - (1.0 + lam)) <= 3.0 * totals_se
+        band = {"target": 1.0 + lam, "band": 3.0 * totals_se}
     criteria.append(_criterion("gamma_total_mass_3se", passed, total, band))
 
     pk_pred = theory["pk"]

@@ -116,7 +116,7 @@ def snapshot(state, *, bins: int = 100, k_max: int = 10, bin_edges=None) -> Empi
     return EmpiricalSnapshot(
         n=n,
         lam=state.lam,
-        fbar=state.tree.total / (state.lam * n),
+        fbar=state.total_weight / (state.lam * n),
         edges=edges,
         gamma_counts=gamma_counts,
         impact_counts=impact_counts,

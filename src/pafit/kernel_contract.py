@@ -90,7 +90,7 @@ class ContractReport:
 
 def _expected_increment(state: GraphState, i: int) -> float:
     w = state.fitness[i] * state.impact[i]
-    return state.lam * w / state.tree.total
+    return state.lam * w / state.total_weight
 
 
 def select_test_vertices(state: GraphState, count: int = 6) -> list[int]:

@@ -403,33 +403,47 @@ def quantile(dist: FitnessDistribution, u):
     return float(out[0]) if scalar else out
 
 
-def _piecewise_cdf(dist: PiecewiseDensity, x: np.ndarray) -> np.ndarray:
-    edges = np.asarray(dist.edges)
-    piece_mass = np.array(
-        [
-            _poly_segment_integral(piece, a, b)
-            for (a, b), piece in zip(zip(dist.edges, dist.edges[1:]), dist.coeffs)
-        ]
-    )
-    cum = np.concatenate([[0.0], np.cumsum(piece_mass)])
-    idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(dist.coeffs) - 1)
-    out = np.empty_like(x)
-    for j, piece in enumerate(dist.coeffs):
-        mask = idx == j
-        if np.any(mask):
-            anti = npoly.polyint(list(piece))
-            out[mask] = cum[j] + npoly.polyval(np.clip(x[mask], dist.edges[j], dist.edges[j + 1]), anti) - npoly.polyval(dist.edges[j], anti)
-    out[x <= edges[0]] = 0.0
-    out[x >= edges[-1]] = cum[-1]
-    return out
-
-
 def _piecewise_quantile(dist: PiecewiseDensity, targets: np.ndarray) -> np.ndarray:
+    """Invert the body CDF by 80 bisection passes. The per-piece masses and
+    antiderivatives are computed once and evaluated in place with the
+    operations of ``npoly.polyval`` in its order: the same output to the bit."""
+    edges = np.asarray(dist.edges)
+    pieces = list(zip(dist.edges, dist.edges[1:], dist.coeffs))
+    cum = np.concatenate([[0.0], np.cumsum([_poly_segment_integral(c, a, b) for a, b, c in pieces])])
+    antis = [npoly.polyint(list(c)) for _, _, c in pieces]
+    bases = [npoly.polyval(a, anti) for (a, _, _), anti in zip(pieces, antis)]
+
+    def piece_cdf(j: int, x: np.ndarray) -> np.ndarray:
+        x = np.clip(x, pieces[j][0], pieces[j][1])
+        acc = x * 0.0
+        acc += antis[j][-1]
+        for coef in antis[j][-2::-1]:
+            acc *= x
+            acc += coef
+        acc += cum[j]
+        acc -= bases[j]
+        return acc
+
+    def cdf(x: np.ndarray) -> np.ndarray:
+        if len(pieces) == 1:
+            out = piece_cdf(0, x)
+        else:
+            out = np.empty_like(x)
+            idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(pieces) - 1)
+            for j in range(len(pieces)):
+                mask = idx == j
+                if np.any(mask):
+                    out[mask] = piece_cdf(j, x[mask])
+        out[x <= edges[0]] = 0.0
+        out[x >= edges[-1]] = cum[-1]
+        return out
+
     lo = np.full_like(targets, dist.edges[0])
     hi = np.full_like(targets, dist.edges[-1])
     for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        below = _piecewise_cdf(dist, mid) < targets
+        mid = lo + hi
+        mid *= 0.5
+        below = cdf(mid) < targets
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return hi
@@ -649,23 +663,6 @@ def _quad_segment(density, lo: float, hi: float, g: Integrand, tol: float) -> fl
         fn_t, t0, np.inf, epsabs=tol, epsrel=epsrel, limit=_QUAD_LIMIT
     )
     return value
-
-
-def mass_between(
-    dist: FitnessDistribution,
-    lo: float,
-    hi: float,
-    *,
-    include_one: bool = True,
-    tol: float = DEFAULT_TOL,
-) -> float:
-    """mu((lo, hi]); ``include_one`` toggles mass sitting exactly at 1."""
-    if lo >= hi:
-        return 0.0
-    g = window_indicator(lo, hi)
-    if not include_one:
-        g = g.without_point_one()
-    return integrate(dist, g, tol=tol)
 
 
 def mean_fitness(dist: FitnessDistribution, *, tol: float = DEFAULT_TOL) -> float:

@@ -1,34 +1,45 @@
 """Sequential growth of the random multigraph under impact evolutions.
 
 The graph is represented only through the per-vertex fitness and impact
-arrays plus a prefix-summable index over the attachment weights
-``w_i = fitness_i * impact_i``; the full adjacency is never stored (an
-optional edge log can be switched on for debugging). Each growth step
-freezes the current weights, draws the edge increments of the chosen
-attachment model against them, applies the increments, and appends the new
-vertex with impact 1.
+arrays plus the running total weight ``W = sum_i fitness_i * impact_i``;
+the full adjacency is never stored (an optional edge log can be switched on
+for debugging). Each growth step freezes the current weights, draws the
+edge increments of the chosen attachment model against them, applies the
+increments, and appends the new vertex with impact 1.
 
 Attachment models:
 
 * :class:`PoissonOutdegree` -- independent Poisson(w_i / sum w) edge counts
   per old vertex, realised as one Poisson(lambda) total split categorically
-  (exact by Poisson superposition/thinning; this is the single most
-  important performance decision, O(lambda log n) instead of O(n) per step).
+  (exact by Poisson superposition/thinning; O(lambda) work per step, not O(n)).
 * :class:`FixedOutdegree` -- multinomial with exactly lambda edges per step,
   realised as lambda iid categorical draws.
 * :class:`CustomKernel` -- arbitrary increment law over the frozen state.
+
+Both built-in models run on one token urn (Batagelj & Brandes, Phys. Rev. E
+71, 036113, 2005, plus a rejection step): vertex i holds ``impact[i]``
+tokens, and a draw picks a uniform token and keeps its owner with
+probability F_i <= 1, so it lands on i with probability F_i Z_i / W. A
+step's tokens are added only after all its targets are drawn. A draw takes
+``total_impact / total_weight`` tries on average (1.16 on the two-point law
+at lambda 2, about 2.5 on the density 3(1-f)^2 at lambda 1). Custom-kernel
+states keep a :class:`PrefixSumTree` instead, for ``KernelView.pick``.
 
 Randomness is organised in four documented channels per replica so that a
 value's position in a stream never depends on internal batching:
 ``SeedSequence(entropy=base_seed, spawn_key=(replica, channel))`` feeding a
 PCG64 generator, with channel 0 = fitness inverse-CDF uniforms (one per
-vertex), channel 1 = edge-target uniforms (one per categorical draw),
-channel 2 = outdegree counts, channel 3 = custom-kernel draws.
+vertex), channel 1 = edge-target uniforms (two per try: the first picks the
+token, the second decides acceptance), channel 2 = outdegree counts,
+channel 3 = custom-kernel draws.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -112,6 +123,11 @@ class PrefixSumTree:
         return pos if pos < n else n - 1
 
 
+def _endless(refill: Callable[[], list]) -> Callable[[], object]:
+    """One value per call from the concatenation of ``refill()`` blocks."""
+    return itertools.chain.from_iterable(iter(refill, None)).__next__
+
+
 class ReplicaStreams:
     """Per-replica random channels with batch-size-independent draws."""
 
@@ -119,13 +135,10 @@ class ReplicaStreams:
         "base_seed",
         "replica",
         "_fitness_rng",
-        "_edge_rng",
         "_count_rng",
         "kernel_rng",
-        "_ubuf",
-        "_upos",
-        "_cbuf",
-        "_cpos",
+        "next_edge_uniform",
+        "_counts",
         "_clam",
     )
 
@@ -140,31 +153,21 @@ class ReplicaStreams:
             return np.random.Generator(np.random.PCG64(seq))
 
         self._fitness_rng = generator(0)
-        self._edge_rng = generator(1)
+        edge_rng = generator(1)
         self._count_rng = generator(2)
         self.kernel_rng = generator(3)
-        self._ubuf: list[float] = []
-        self._upos = 0
-        self._cbuf: list[int] = []
-        self._cpos = 0
+        self.next_edge_uniform: Callable[[], float] = _endless(
+            lambda: edge_rng.random(_BLOCK).tolist()
+        )
+        self._counts: Callable[[], int] | None = None
         self._clam: float | None = None
 
-    def next_edge_uniform(self) -> float:
-        if self._upos == len(self._ubuf):
-            self._ubuf = self._edge_rng.random(_BLOCK).tolist()
-            self._upos = 0
-        u = self._ubuf[self._upos]
-        self._upos += 1
-        return u
-
-    def next_outdegree(self, lam: float) -> int:
-        if self._clam != lam or self._cpos == len(self._cbuf):
-            self._cbuf = self._count_rng.poisson(lam, _BLOCK).tolist()
-            self._cpos = 0
+    def poisson_counts(self, lam: float) -> Callable[[], int]:
+        """Draw function of Poisson(lam) outdegrees; a new lam starts a new block."""
+        if self._clam != lam:
+            self._counts = _endless(lambda: self._count_rng.poisson(lam, _BLOCK).tolist())
             self._clam = lam
-        count = self._cbuf[self._cpos]
-        self._cpos += 1
-        return count
+        return self._counts
 
     def fitness_uniforms(self, size: int) -> np.ndarray:
         return self._fitness_rng.random(size)
@@ -180,35 +183,32 @@ class KernelView:
     impact: Sequence[int]
     total_weight: float
     fbar: float
-    pick: Callable[[float], int]  # uniform -> weight-proportional vertex index
+    # uniform -> weight-proportional vertex index; None on built-in model states
+    pick: Callable[[float], int] | None
+
+
+class _TokenUrnModel:
+    """One-step draw shared by the built-in models; see the module docstring."""
+
+    def draw_increments(self, state: "GraphState", streams: ReplicaStreams) -> dict[int, int]:
+        count = self.outdegrees(state.lam, streams)()
+        return Counter(_draw_targets(state.tokens, state.fitness, count, streams.next_edge_uniform))
 
 
 @dataclass(frozen=True)
-class PoissonOutdegree:
+class PoissonOutdegree(_TokenUrnModel):
     label: str = "poisson"
 
-    def draw_increments(self, state: "GraphState", streams: ReplicaStreams) -> dict[int, int]:
-        incs: dict[int, int] = {}
-        total = state.tree.total
-        find = state.tree.find
-        for _ in range(streams.next_outdegree(state.lam)):
-            i = find(streams.next_edge_uniform() * total)
-            incs[i] = incs.get(i, 0) + 1
-        return incs
+    def outdegrees(self, lam: float, streams: ReplicaStreams) -> Callable[[], int]:
+        return streams.poisson_counts(lam)
 
 
 @dataclass(frozen=True)
-class FixedOutdegree:
+class FixedOutdegree(_TokenUrnModel):
     label: str = "multinomial"
 
-    def draw_increments(self, state: "GraphState", streams: ReplicaStreams) -> dict[int, int]:
-        incs: dict[int, int] = {}
-        total = state.tree.total
-        find = state.tree.find
-        for _ in range(int(state.lam)):
-            i = find(streams.next_edge_uniform() * total)
-            incs[i] = incs.get(i, 0) + 1
-        return incs
+    def outdegrees(self, lam: float, streams: ReplicaStreams) -> Callable[[], int]:
+        return itertools.repeat(int(lam)).__next__
 
 
 @dataclass(frozen=True)
@@ -237,7 +237,8 @@ AttachmentModel = PoissonOutdegree | FixedOutdegree | CustomKernel
 
 
 class GraphState:
-    """The evolving network; confined to a single worker."""
+    """The evolving network; confined to a single worker. Built-in models
+    keep the token urn ``tokens``, custom kernels the weight index ``tree``."""
 
     __slots__ = (
         "dist",
@@ -246,7 +247,9 @@ class GraphState:
         "streams",
         "fitness",
         "impact",
+        "tokens",
         "tree",
+        "total_weight",
         "total_impact",
         "edge_count",
         "edge_log",
@@ -261,7 +264,10 @@ class GraphState:
         self.streams = streams
         self.fitness: list[float] = []
         self.impact: list[int] = []
-        self.tree = PrefixSumTree()
+        builtin = isinstance(model, _TokenUrnModel)
+        self.tokens: array | None = array("i") if builtin else None  # 4 bytes a token
+        self.tree: PrefixSumTree | None = None if builtin else PrefixSumTree()
+        self.total_weight = 0.0
         self.total_impact = 0
         self.edge_count = 0
         self.edge_log: list[tuple[int, int, int]] | None = [] if edge_log else None
@@ -273,36 +279,37 @@ class GraphState:
         return len(self.fitness)
 
     def reserve_fitness(self, target_n: int) -> None:
-        """Pre-draw fitness marks up to vertex ``target_n`` (one uniform each)."""
+        """Pre-draw fitness marks up to vertex ``target_n`` at least (one
+        uniform each, in blocks of 256 or more)."""
         need = target_n - self.n - (len(self._fitness_queue) - self._fq_pos)
         if need > 0:
-            fresh = measures.quantile(self.dist, self.streams.fitness_uniforms(need))
+            fresh = measures.quantile(self.dist, self.streams.fitness_uniforms(max(need, 256)))
             pending = self._fitness_queue[self._fq_pos:]
             self._fitness_queue = np.concatenate([pending, np.atleast_1d(fresh)])
             self._fq_pos = 0
 
-    def next_fitness(self) -> float:
-        if self._fq_pos == len(self._fitness_queue):
-            self.reserve_fitness(self.n + 256)
-        value = float(self._fitness_queue[self._fq_pos])
-        self._fq_pos += 1
-        return value
+    def _add_vertex(self, f: float, z: int) -> None:
+        if self.tokens is not None:
+            self.tokens.extend([self.n] * z)
+        else:
+            self.tree.append(f * z)
+        self.fitness.append(f)
+        self.impact.append(z)
+        self.total_weight += f * z
+        self.total_impact += z
 
     def append_vertex(self) -> None:
-        f = self.next_fitness()
-        self.fitness.append(f)
-        self.impact.append(1)
-        self.tree.append(f)
-        self.total_impact += 1
+        self.reserve_fitness(self.n + 1)
+        self._fq_pos += 1
+        self._add_vertex(float(self._fitness_queue[self._fq_pos - 1]), 1)
 
     def apply_increments(self, incs: Mapping[int, int]) -> None:
-        impact = self.impact
-        fitness = self.fitness
-        tree = self.tree
+        """Apply a custom kernel's increments (built-in models grow in :func:`_grow`)."""
         source = self.n  # index the new vertex will take
         for i, count in incs.items():
-            impact[i] += count
-            tree.add(i, fitness[i] * count)
+            self.impact[i] += count
+            self.tree.add(i, self.fitness[i] * count)
+            self.total_weight += self.fitness[i] * count
             self.total_impact += count
             self.edge_count += count
             if self.edge_log is not None:
@@ -315,9 +322,9 @@ class GraphState:
             lam=self.lam,
             fitness=self.fitness,
             impact=self.impact,
-            total_weight=tree.total,
+            total_weight=self.total_weight,
             fbar=fbar(self),
-            pick=lambda u: tree.find(u * tree.total),
+            pick=None if tree is None else lambda u: tree.find(u * tree.total),
         )
 
     @classmethod
@@ -329,10 +336,7 @@ class GraphState:
                 raise MeasureError(f"fitness {f} outside (0, 1]")
             if z < 1:
                 raise MeasureError("impact must be >= 1")
-            state.fitness.append(float(f))
-            state.impact.append(int(z))
-            state.tree.append(float(f) * int(z))
-            state.total_impact += int(z)
+            state._add_vertex(float(f), int(z))
         state.edge_count = state.total_impact - state.n
         return state
 
@@ -357,24 +361,19 @@ def new_graph(
     return state
 
 
-def sample_categorical(state: GraphState, u: float) -> int:
-    """Vertex index drawn proportionally to w_i; consumes exactly one uniform."""
-    if state.tree.total <= 0.0:
-        raise MeasureError("total weight must be positive")
-    return state.tree.find(u * state.tree.total)
-
-
 def fbar(state: GraphState) -> float:
     """Normalisation: total weight / (lambda * n)."""
-    return state.tree.total / (state.lam * state.n)
+    return state.total_weight / (state.lam * state.n)
 
 
 def step(state: GraphState) -> GraphState:
     """One growth step: draw increments against the frozen weights, apply,
     then append vertex n+1 with impact 1."""
-    incs = state.model.draw_increments(state, state.streams)
-    state.apply_increments(incs)
-    state.append_vertex()
+    if state.tokens is not None:
+        _grow(state, state.n + 1)
+    else:
+        state.apply_increments(state.model.draw_increments(state, state.streams))
+        state.append_vertex()
     return state
 
 
@@ -396,10 +395,15 @@ def _audit(state: GraphState, fbar_track: list[tuple[int, float]]) -> None:
             f"impact bookkeeping broken at n={n}: total_impact={state.total_impact}, "
             f"vertices+edges={n + state.edge_count}"
         )
-    resum = float(np.dot(np.asarray(state.fitness), np.asarray(state.impact, dtype=float)))
-    if abs(state.tree.total - resum) > 1e-9 * max(resum, 1.0):
+    if state.tokens is not None and len(state.tokens) != state.total_impact:
         raise AuditError(
-            f"weight index drifted at n={n}: tree total {state.tree.total} vs re-sum {resum}"
+            f"token urn broken at n={n}: {len(state.tokens)} tokens, "
+            f"total_impact={state.total_impact}"
+        )
+    resum = float(np.dot(np.asarray(state.fitness), np.asarray(state.impact, dtype=float)))
+    if abs(state.total_weight - resum) > 1e-9 * max(resum, 1.0):
+        raise AuditError(
+            f"total weight drifted at n={n}: running total {state.total_weight} vs re-sum {resum}"
         )
     if isinstance(state.model, FixedOutdegree):
         expected = int(state.lam) * (n - 1)
@@ -480,13 +484,11 @@ def run(
     state.reserve_fitness(n_target)
     snapshots = []
     fbar_track: list[tuple[int, float]] = []
-    fast = isinstance(state.model, (PoissonOutdegree, FixedOutdegree))
     for cp in checkpoints:
-        if fast:
-            _advance_builtin(state, cp)
-        else:
-            while state.n < cp:
-                step(state)
+        if state.tokens is not None:
+            _grow(state, cp)
+        while state.n < cp:
+            step(state)
         _audit(state, fbar_track)
         snap = empirics.snapshot(state, bins=bins, k_max=k_max, bin_edges=bin_edges)
         snapshots.append(snap)
@@ -496,59 +498,57 @@ def run(
     return snapshots
 
 
-def _advance_builtin(state: GraphState, n_stop: int) -> None:
-    """Hot loop for the built-in models; one uniform per categorical draw."""
-    streams = state.streams
-    tree = state.tree
+def _draw_targets(
+    tokens: array, fitness: list[float], count: int, uniform: Callable[[], float]
+) -> list[int]:
+    """The built-in edge-sampling loop: ``count`` token-urn draws against the
+    frozen ``tokens``, two channel-1 uniforms per try (``int(u * size)`` stays
+    below ``size`` for every double u < 1)."""
+    size = len(tokens)
+    targets = []
+    for _ in range(count):
+        i = tokens[int(uniform() * size)]
+        while uniform() >= fitness[i]:
+            i = tokens[int(uniform() * size)]
+        targets.append(i)
+    return targets
+
+
+def _grow(state: GraphState, n_stop: int) -> None:
+    """Advance a built-in model's state to ``n_stop`` vertices."""
+    tokens = state.tokens
     fitness = state.fitness
     impact = state.impact
-    poisson = isinstance(state.model, PoissonOutdegree)
-    lam = state.lam
-    lam_int = int(lam) if not poisson else 0
+    next_count = state.model.outdegrees(state.lam, state.streams)
+    uniform = state.streams.next_edge_uniform
     log = state.edge_log
-    queue = state._fitness_queue
-    qpos = state._fq_pos
-    tree_find = tree.find
-    tree_add = tree.add
-    tree_append = tree.append
-    next_uniform = streams.next_edge_uniform
-    next_count = streams.next_outdegree
     n = state.n
+    weight = state.total_weight
     edges = state.edge_count
     impacts = state.total_impact
+    state.reserve_fitness(n_stop)
+    start = state._fq_pos
+    fresh = state._fitness_queue[start : start + n_stop - n].tolist()
+    state._fq_pos = start + len(fresh)
 
-    while n < n_stop:
-        count = next_count(lam) if poisson else lam_int
-        if count == 1:  # common fast case: no increment dict needed
-            i = tree_find(next_uniform() * tree.total)
-            impact[i] += 1
-            tree_add(i, fitness[i])
+    for f in fresh:  # the marks of vertices n, n + 1, ..., n_stop - 1
+        count = next_count()
+        if count:
+            targets = _draw_targets(tokens, fitness, count, uniform)
+            for i in targets:
+                impact[i] += 1
+                weight += fitness[i]
+            tokens.extend(targets)
             if log is not None:
-                log.append((n, i, 1))
-        elif count:
-            incs: dict[int, int] = {}
-            for _ in range(count):
-                i = tree_find(next_uniform() * tree.total)
-                incs[i] = incs.get(i, 0) + 1
-            for i, c in incs.items():
-                impact[i] += c
-                tree_add(i, fitness[i] * c)
-                if log is not None:
-                    log.append((n, i, c))
+                log.extend((n, i, c) for i, c in Counter(targets).items())
         edges += count
         impacts += count + 1
-        if qpos == len(queue):
-            state._fq_pos = qpos
-            state.reserve_fitness(n + 256)
-            queue = state._fitness_queue
-            qpos = state._fq_pos
-        f = float(queue[qpos])
-        qpos += 1
         fitness.append(f)
         impact.append(1)
-        tree_append(f)
+        tokens.append(n)
+        weight += f
         n += 1
 
-    state._fq_pos = qpos
+    state.total_weight = weight
     state.edge_count = edges
     state.total_impact = impacts

@@ -192,6 +192,26 @@ class TestCompare:
             assert mass["threshold"]["band"] == pytest.approx(3.0 * se, rel=1e-12)
             assert mass["passed"] is expected, (z, mass)
 
+    def test_fixed_outdegree_total_mass_is_exact(self, complete_run):
+        """Every fixed-outdegree replica has exactly lambda (n-1) edges: the
+        total is checked against 1 + lambda (n-1)/n exactly, however wide
+        the per-bin SEs are, so a run that lost 1% of its mass fails."""
+        config, out = complete_run
+        n, lam = 4000, 2.0
+        exact = 1.0 + lam * (n - 1) / n
+        path = out / "sim/aggregate_gamma.csv"
+        rows = [[float(v) for v in line.split(",")] for line in path.read_text().splitlines()[1:]]
+        for scale, expected in ((1.0, True), (0.99, False)):
+            rows[-1][2] += scale * exact - sum(r[2] for r in rows)
+            cli.write_csv(path, ["bin_lo", "bin_hi", "mean", "stderr"],
+                          [r[:3] + [0.05] for r in rows])
+            mass = next(
+                c for c in cli.cmd_compare(config, out_dir=out)["criteria"]
+                if c["name"] == "gamma_total_mass_3se"
+            )
+            assert mass["threshold"]["target"] == pytest.approx(exact, abs=1e-15)
+            assert mass["passed"] is expected, (scale, mass)
+
     def test_lambda_mismatch_rejected(self, complete_run, tmp_path):
         config, out = complete_run
         doctored = json.loads((out / "theory/limit_summary.json").read_text())

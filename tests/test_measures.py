@@ -146,6 +146,62 @@ class TestSampling:
         M.sample_many(two_point, stream, 17)
         assert stream.calls == 18
 
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            M.PiecewiseDensity((0.0, 1.0), ((3.0, -6.0, 3.0),)),
+            M.PiecewiseDensity((0.0, 0.3, 0.7, 1.0), ((1.0,), (0.5,), (0.5, 0.5)),
+                               atom_at_one=0.2225),
+            M.PiecewiseDensity((0.0, 1.0), ((0.6,),), atom_at_one=0.4),
+        ],
+        ids=["cubic_gap", "three_pieces_atom", "flat_atom"],
+    )
+    def test_piecewise_quantile_equals_frozen_reference(self, dist, rng):
+        # the bisection before its per-piece masses and antiderivatives were
+        # hoisted out of the passes, kept verbatim as the reference
+        from numpy.polynomial import polynomial as npoly
+
+        def reference_cdf(x):
+            edges = np.asarray(dist.edges)
+            piece_mass = np.array(
+                [
+                    M._poly_segment_integral(piece, a, b)
+                    for (a, b), piece in zip(zip(dist.edges, dist.edges[1:]), dist.coeffs)
+                ]
+            )
+            cum = np.concatenate([[0.0], np.cumsum(piece_mass)])
+            idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(dist.coeffs) - 1)
+            out = np.empty_like(x)
+            for j, piece in enumerate(dist.coeffs):
+                mask = idx == j
+                if np.any(mask):
+                    anti = npoly.polyint(list(piece))
+                    out[mask] = cum[j] + npoly.polyval(np.clip(x[mask], dist.edges[j], dist.edges[j + 1]), anti) - npoly.polyval(dist.edges[j], anti)
+            out[x <= edges[0]] = 0.0
+            out[x >= edges[-1]] = cum[-1]
+            return out
+
+        def reference_quantile(targets):
+            lo = np.full_like(targets, dist.edges[0])
+            hi = np.full_like(targets, dist.edges[-1])
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                below = reference_cdf(mid) < targets
+                lo = np.where(below, mid, lo)
+                hi = np.where(below, hi, mid)
+            return hi
+
+        edge_masses = reference_cdf(np.asarray(dist.edges))
+        body = 1.0 - dist.atom_at_one
+        u = np.concatenate([rng.random(100_000), edge_masses, np.nextafter(edge_masses, 0.0),
+                            [0.0, np.nextafter(body, 0.0), body]])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        inside = u[u < body]
+        assert np.array_equal(M._piecewise_quantile(dist, inside), reference_quantile(inside))
+        expected = np.ones_like(u)
+        expected[u < body] = reference_quantile(inside)
+        assert np.array_equal(M.quantile(dist, u), np.maximum(expected, np.nextafter(0.0, 1.0)))
+
 
 # ---------------------------------------------------------------------------
 # integration

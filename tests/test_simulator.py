@@ -1,5 +1,9 @@
 """Simulator tests: construction, one-step laws, bookkeeping, determinism,
-and the prefix-sum sampler against a naive linear-scan oracle."""
+the token-urn engine, and the prefix-sum sampler against a naive
+linear-scan oracle."""
+
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -120,9 +124,9 @@ class TestFbar:
 
 class TestSampler:
     def test_spec_examples(self):
-        state = S.GraphState.from_arrays([1.0, 1.0], [1, 3], lam=1.0, model=S.PoissonOutdegree())
-        assert S.sample_categorical(state, 0.1) == 0  # 0.1 * 4 < 1
-        assert S.sample_categorical(state, 0.5) == 1  # 2 >= 1
+        tree = S.PrefixSumTree([1.0, 3.0])  # weights of F = (1, 1), Z = (1, 3)
+        assert tree.find(0.1 * tree.total) == 0  # 0.1 * 4 < 1
+        assert tree.find(0.5 * tree.total) == 1  # 2 >= 1
 
     def test_matches_linear_scan_on_grid(self, rng):
         for trial in range(300):
@@ -154,6 +158,74 @@ class TestSampler:
         diffs = np.diff(np.concatenate([[0.0], totals]))
         assert np.allclose(diffs, expected, atol=1e-12)
         assert tree.total == pytest.approx(expected.sum(), rel=1e-12)
+
+
+class TestTokenUrn:
+    FITNESS = [1.0, 0.5, 0.25, 0.8, 0.1, 0.6, 0.95]
+    IMPACT = [1, 3, 7, 2, 10, 1, 4]
+
+    @pytest.mark.parametrize("model", [S.PoissonOutdegree(), S.FixedOutdegree()])
+    def test_one_step_law_chi_square(self, model):
+        # pooled draws of the frozen one-step transition against lambda w_i / W
+        lam, trials = 3.0, 20_000
+        state = S.GraphState.from_arrays(self.FITNESS, self.IMPACT, lam=lam, model=model, seed=3)
+        counts = np.zeros(state.n)
+        for _ in range(trials):
+            for i, c in model.draw_increments(state, state.streams).items():
+                counts[i] += c
+        weights = np.asarray(self.FITNESS) * np.asarray(self.IMPACT)
+        expected = trials * lam * weights / weights.sum()
+        chi2 = ((counts - expected) ** 2 / expected).sum()
+        # pooled Poisson counts are independent; the fixed total costs one df
+        dof = state.n if isinstance(model, S.PoissonOutdegree) else state.n - 1
+        assert stats.chi2.sf(chi2, dof) > 1e-3
+        assert state.impact == self.IMPACT  # the draws left the state frozen
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lam=st.sampled_from([1.0, 2.0, 3.0]),
+        poisson=st.booleans(),
+        density=st.booleans(),
+        n=st.integers(1, 400),
+        stepped=st.integers(0, 20),
+    )
+    def test_tokens_mirror_impacts(self, seed, lam, poisson, density, n, stepped):
+        dist = (
+            M.PiecewiseDensity((0.0, 1.0), ((3.0, -6.0, 3.0),))
+            if density
+            else M.FiniteDiscrete([(0.5, 0.5), (1.0, 0.5)])
+        )
+        model = S.PoissonOutdegree() if poisson else S.FixedOutdegree()
+        state = S.new_graph(dist, lam, model, seed=seed)
+        S.run(state, n, bins=5, k_max=3)
+        for _ in range(stepped):
+            S.step(state)
+        assert Counter(state.tokens) == dict(enumerate(state.impact))
+        assert len(state.tokens) == state.total_impact
+        exact = math.fsum(f * z for f, z in zip(state.fitness, state.impact))
+        assert state.total_weight == pytest.approx(exact, rel=1e-12)
+
+    def test_audit_counts_tokens(self, two_point):
+        state = S.new_graph(two_point, 2.0, S.PoissonOutdegree(), seed=43)
+        S.run(state, 64, bins=5, k_max=3)
+        state.tokens.pop()
+        with pytest.raises(S.AuditError, match="token"):
+            S.run(state, 128, bins=5, k_max=3)
+
+    def test_audit_resums_total_weight(self, two_point):
+        state = S.new_graph(two_point, 2.0, S.FixedOutdegree(), seed=47)
+        S.run(state, 64, bins=5, k_max=3)
+        state.total_weight += 1e-6
+        with pytest.raises(S.AuditError, match="total weight"):
+            S.run(state, 128, bins=5, k_max=3)
+
+    def test_only_custom_states_keep_a_weight_index(self, uniform):
+        builtin = S.new_graph(uniform, 1.0, S.PoissonOutdegree(), seed=53)
+        assert builtin.tree is None and builtin.view().pick is None
+        custom = S.new_graph(uniform, 1.0, S.CustomKernel(lambda view, rng: {}), seed=53)
+        assert custom.tokens is None
+        assert custom.view().pick(0.5) == 0
 
 
 class TestRun:
@@ -189,7 +261,7 @@ class TestRun:
         state = S.new_graph(cubic_gap, 1.0, S.PoissonOutdegree(), seed=19)
         S.run(state, 10_000, bins=10, k_max=5)
         resum = float(np.dot(np.asarray(state.fitness), np.asarray(state.impact, dtype=float)))
-        assert state.tree.total == pytest.approx(resum, rel=1e-9)
+        assert state.total_weight == pytest.approx(resum, rel=1e-9)
 
     def test_run_equals_repeated_step(self, two_point):
         # the inlined hot loop and the generic step must produce identical states
