@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import multiprocessing
 import os
 import sys
@@ -28,15 +27,6 @@ from .empirics import EmpiricalSnapshot, ReplicaAggregate
 from .measures import MeasureError
 
 ENV_OUT = "PAFIT_OUT"
-
-# report thresholds (fixed, not configurable: they define the acceptance gate)
-FBAR_REL_TOL = 0.02
-GAMMA_BIN_TOL_FACTOR = 0.05          # x (1 + lambda), max over bins
-PK_ABS_TOL = 0.01                    # per k = 1..5
-GAMMA_K_L1_TOL = 0.05                # k = 1, 2
-BE_TREND_CHECKPOINTS = 3
-CONDENSATION_ABS_TOL = 0.1
-CONDENSATION_SIGNATURE_FACTOR = 10.0
 
 
 def _fmt(value) -> str:
@@ -278,6 +268,10 @@ def cmd_simulate(
 # ---------------------------------------------------------------------------
 
 
+SIM_TABLES = ("aggregate_trajectory", "aggregate_gamma", "aggregate_gamma_k", "aggregate_pk")
+THEORY_TABLES = ("gamma_bins", "gamma_k_bins")
+
+
 def _read_csv(path: Path) -> list[dict[str, float]]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         return [
@@ -286,14 +280,12 @@ def _read_csv(path: Path) -> list[dict[str, float]]:
         ]
 
 
-def _criterion(name: str, passed: bool, measured, threshold, **details) -> dict:
-    entry = {"name": name, "passed": bool(passed), "measured": measured, "threshold": threshold}
-    entry.update(details)
-    return entry
-
-
 def cmd_compare(config: ExperimentConfig, *, out_dir: Path | None = None) -> dict:
-    """Join simulation aggregates with theory outputs; emit the report."""
+    """Join simulation aggregates with theory outputs; emit the report.
+
+    The criteria are :func:`empirics.evaluate`'s; this reads its inputs and
+    writes its outputs, after checking that both sides come from ``config``.
+    """
     root = out_dir or resolve_out_dir(config, None)
     theory_dir, sim_dir = root / "theory", root / "sim"
     out = root / "compare"
@@ -310,150 +302,18 @@ def cmd_compare(config: ExperimentConfig, *, out_dir: Path | None = None) -> dic
             )
         if payload["fitness"] != config.fitness:
             raise MeasureError(f"fitness distribution mismatch against {side} files")
-
-    lam = config.lam
-    phase = theory["phase"]
-    theta_star = theory["theta_star"]
-    trajectory = _read_csv(sim_dir / "aggregate_trajectory.csv")
-    gamma_rows = _read_csv(sim_dir / "aggregate_gamma.csv")
-    theory_gamma = _read_csv(theory_dir / "gamma_bins.csv")
-    pk_rows = _read_csv(sim_dir / "aggregate_pk.csv")
-
-    if [r["bin_lo"] for r in gamma_rows] != [r["bin_lo"] for r in theory_gamma]:
-        raise MeasureError("simulation and theory used different bin edges")
-
-    criteria: list[dict] = []
-    final = trajectory[-1]
-
-    empirical = np.array([r["mean"] for r in gamma_rows])
-    predicted = np.array([r["predicted_mass"] for r in theory_gamma])
-    abs_err = np.abs(empirical - predicted)
-    write_csv(
-        out / "gamma_compare.csv",
-        ["bin_lo", "bin_hi", "empirical_mass", "predicted_mass", "abs_error"],
-        [
-            (r["bin_lo"], r["bin_hi"], e, p, a)
-            for r, e, p, a in zip(gamma_rows, empirical, predicted, abs_err)
-        ],
-    )
-
-    # total impact mass 1 + edges/n, within 3 SE. Under the Poisson model a
-    # replica's edge count is exactly Poisson(lambda (n - 1)), so the mean of
-    # R replicas has target 1 + lambda (n - 1)/n and SE
-    # sqrt(lambda (n - 1) / (R n^2)). Under the fixed-outdegree model every
-    # replica has exactly lambda (n - 1) edges, so the total is exact. Custom
-    # kernels use the per-bin cross-replica SEs around 1 + lambda
-    n = int(final["n"])
-    total = float(empirical.sum())
-    model = config.attachment_model()
-    if isinstance(model, simulator.PoissonOutdegree):
-        target = 1.0 + lam * (n - 1) / n
-        se = math.sqrt(lam * (n - 1) / (sim["replicas"] * n * n))
-        passed = abs(total - target) <= 3.0 * se
-        band = {"target": target, "band": 3.0 * se}
-    elif isinstance(model, simulator.FixedOutdegree):
-        exact = (1.0 + lam) - lam / n
-        passed = abs(total - exact) <= 1e-9
-        band = {"target": exact, "band": "exact (deterministic outdegree)"}
-    else:
-        totals_se = math.sqrt(sum(r["stderr"] ** 2 for r in gamma_rows))
-        passed = abs(total - (1.0 + lam)) <= 3.0 * totals_se
-        band = {"target": 1.0 + lam, "band": 3.0 * totals_se}
-    criteria.append(_criterion("gamma_total_mass_3se", passed, total, band))
-
-    pk_pred = theory["pk"]
-    write_csv(
-        out / "pk_compare.csv",
-        ["k", "empirical_mean", "empirical_stderr", "predicted", "abs_error"],
-        [
-            (
-                int(row["k"]),
-                row["mean"],
-                row["stderr"],
-                pk_pred[int(row["k"]) - 1],
-                abs(row["mean"] - pk_pred[int(row["k"]) - 1]),
-            )
-            for row in pk_rows
-        ],
-    )
-
-    if phase == "FitGetRicher":
-        rel = abs(final["fbar_mean"] - theta_star) / theta_star
-        criteria.append(
-            _criterion("normalisation_vs_theta_star", rel <= FBAR_REL_TOL, final["fbar_mean"],
-                       {"theta_star": theta_star, "rel_tol": FBAR_REL_TOL})
-        )
-        bin_tol = GAMMA_BIN_TOL_FACTOR * (1.0 + lam)
-        criteria.append(
-            _criterion("gamma_max_bin_error", float(abs_err.max()) <= bin_tol,
-                       float(abs_err.max()), bin_tol)
-        )
-        pk_err = [
-            abs(row["mean"] - pk_pred[int(row["k"]) - 1])
-            for row in pk_rows
-            if int(row["k"]) <= 5
-        ]
-        criteria.append(
-            _criterion("impact_fraction_error_k1_5", max(pk_err) <= PK_ABS_TOL,
-                       max(pk_err), PK_ABS_TOL)
-        )
-        gamma_k_sim = _read_csv(sim_dir / "aggregate_gamma_k.csv")
-        gamma_k_theory = _read_csv(theory_dir / "gamma_k_bins.csv")
-        for k in (1, 2):
-            sim_k = np.array([r["mean"] for r in gamma_k_sim if int(r["k"]) == k])
-            theory_k = np.array(
-                [r["predicted_mass"] for r in gamma_k_theory if int(r["k"]) == k]
-            )
-            l1 = float(np.abs(sim_k - theory_k).sum())
-            criteria.append(
-                _criterion(f"impact_law_l1_k{k}", l1 <= GAMMA_K_L1_TOL, l1, GAMMA_K_L1_TOL)
-            )
-    else:
-        # from a cold start the normalisation climbs towards theta* = 1 from
-        # below at every n (docs/DECISIONS.md): the corridor is the a-priori
-        # floor up to theta*, half-open, and the trend is rising
-        lo = simulator.normalisation_lower_edge(config.distribution(), lam)
-        fbar_final = final["fbar_mean"]
-        criteria.append(
-            _criterion("normalisation_corridor", lo <= fbar_final < theta_star,
-                       fbar_final, [lo, theta_star])
-        )
-        tail = [row["fbar_mean"] for row in trajectory[-BE_TREND_CHECKPOINTS:]]
-        increasing = all(a < b for a, b in zip(tail, tail[1:]))
-        criteria.append(
-            _criterion("normalisation_trend_increasing", increasing, tail, "strictly increasing")
-        )
-        # condensation window [1 - eps, 1]
-        eps = config.epsilon
-        cut = 1.0 - eps
-        lows = [r["bin_lo"] for r in gamma_rows]
-        j = int(np.argmin(np.abs(np.array(lows) - cut)))
-        if abs(lows[j] - cut) > 1e-9:
-            raise MeasureError("epsilon window does not align with the histogram bins")
-        emp_window = float(empirical[j:].sum())
-        pred_window = float(predicted[j:].sum())
-        bulk_window = pred_window - theory["condensate_mass"]
-        criteria.append(
-            _criterion("condensation_window_abs",
-                       abs(emp_window - pred_window) <= CONDENSATION_ABS_TOL,
-                       emp_window, {"predicted": pred_window, "abs_tol": CONDENSATION_ABS_TOL})
-        )
-        criteria.append(
-            _criterion("condensation_window_signature",
-                       emp_window >= CONDENSATION_SIGNATURE_FACTOR * bulk_window,
-                       emp_window,
-                       {"bulk_only": bulk_window, "factor": CONDENSATION_SIGNATURE_FACTOR})
+    # the model sets the total-mass band; seed and replica count may differ
+    # legitimately (``simulate --seed/--replicas``)
+    if sim["model"] != config.model:
+        raise MeasureError(
+            f"model mismatch: simulation files have {sim['model']}, config has {config.model}"
         )
 
-    report = {
-        "schema_version": 1,
-        "phase": phase,
-        "lambda": lam,
-        "theta_star": theta_star,
-        "n": int(final["n"]),
-        "criteria": criteria,
-        "passed": all(c["passed"] for c in criteria),
-    }
+    tables = {name: _read_csv(sim_dir / f"{name}.csv") for name in SIM_TABLES}
+    tables.update((name, _read_csv(theory_dir / f"{name}.csv")) for name in THEORY_TABLES)
+    report, outputs = empirics.evaluate(theory, tables, config, sim["replicas"])
+    for name, (header, rows) in outputs.items():
+        write_csv(out / f"{name}.csv", header, rows)
     write_json(out / "report.json", report)
     return report
 

@@ -1,5 +1,6 @@
-"""Empirical measures extracted from graph states, and their comparison
-against limit predictions.
+"""Empirical measures extracted from graph states, their cross-replica
+aggregate, and :func:`evaluate`, which turns the aggregate and the limit
+predictions into the pass/fail criteria of ``pafit compare``.
 
 Histogram counts are kept in integer arithmetic wherever possible so the
 bookkeeping identities (bin sums equal total impact, impact fractions sum
@@ -14,13 +15,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
-from .limit_theory import LimitMeasure
-from .measures import DEFAULT_TOL, FiniteDiscrete, FitnessDistribution, MeasureError
+from . import simulator
+from .measures import FiniteDiscrete, FitnessDistribution, MeasureError
 
 EDGE_SHIFT = math.sqrt(2.0) * 1e-9  # irrational-ish nudge applied on atom collisions
+
+# criteria thresholds (fixed, not configurable: they define the acceptance gate)
+FBAR_REL_TOL = 0.02
+GAMMA_BIN_TOL_FACTOR = 0.05          # x (1 + lambda), max over bins
+PK_ABS_TOL = 0.01                    # per k = 1..5
+GAMMA_K_L1_TOL = 0.05                # k = 1, 2
+BE_TREND_CHECKPOINTS = 3
+CONDENSATION_ABS_TOL = 0.1
+CONDENSATION_SIGNATURE_FACTOR = 10.0
 
 
 def uniform_edges(bins: int) -> np.ndarray:
@@ -69,24 +80,10 @@ class EmpiricalSnapshot:
     def gamma_mass(self) -> np.ndarray:
         return self.gamma_counts / self.n
 
-    def gamma_k_mass(self, k: int) -> np.ndarray:
-        if not 1 <= k <= self.k_max:
-            raise MeasureError(f"tracked impacts are 1..{self.k_max}")
-        return self.impact_counts[k - 1] / self.n
-
     @property
     def pk(self) -> np.ndarray:
         """p_n(k) for k = 1..k_max."""
         return self.impact_counts[:-1].sum(axis=1) / self.n
-
-    @property
-    def tail_fraction(self) -> float:
-        """Fraction of vertices with impact above k_max."""
-        return float(self.impact_counts[-1].sum()) / self.n
-
-    def window_mass(self, lo_edge_index: int) -> float:
-        """Empirical impact mass of the bins from ``lo_edge_index`` upward."""
-        return float(self.gamma_counts[lo_edge_index:].sum()) / self.n
 
 
 def snapshot(state, *, bins: int = 100, k_max: int = 10, bin_edges=None) -> EmpiricalSnapshot:
@@ -127,80 +124,6 @@ def snapshot(state, *, bins: int = 100, k_max: int = 10, bin_edges=None) -> Empi
 
 
 @dataclass(frozen=True)
-class GammaComparison:
-    edges: np.ndarray
-    empirical: np.ndarray
-    predicted: np.ndarray
-
-    @property
-    def abs_errors(self) -> np.ndarray:
-        return np.abs(self.empirical - self.predicted)
-
-    @property
-    def max_abs_error(self) -> float:
-        return float(self.abs_errors.max())
-
-    @property
-    def l1_distance(self) -> float:
-        return float(self.abs_errors.sum())
-
-    @property
-    def empirical_total(self) -> float:
-        return float(self.empirical.sum())
-
-    @property
-    def predicted_total(self) -> float:
-        return float(self.predicted.sum())
-
-
-def compare_masses(edges, empirical_mass, limit: LimitMeasure, *, tol: float = DEFAULT_TOL) -> GammaComparison:
-    """Bin-by-bin comparison of an empirical mass vector against a limit law.
-
-    The predicted mass of the last bin includes the limit's atom at 1.
-    """
-    edges = np.asarray(edges, dtype=float)
-    empirical_mass = np.asarray(empirical_mass, dtype=float)
-    if len(empirical_mass) != len(edges) - 1:
-        raise MeasureError("mass vector does not match the bin edges")
-    predicted = limit.bin_masses(edges, tol=tol)
-    return GammaComparison(edges=edges, empirical=empirical_mass, predicted=predicted)
-
-
-def compare_gamma(snap: EmpiricalSnapshot, limit: LimitMeasure, *, tol: float = DEFAULT_TOL) -> GammaComparison:
-    """Binned empirical impact measure against the predicted limit."""
-    return compare_masses(snap.edges, snap.gamma_mass, limit, tol=tol)
-
-
-def compare_gamma_k(
-    snap: EmpiricalSnapshot, limit_k: LimitMeasure, k: int, *, tol: float = DEFAULT_TOL
-) -> GammaComparison:
-    return compare_masses(snap.edges, snap.gamma_k_mass(k), limit_k, tol=tol)
-
-
-def condensation_diagnostic(
-    snap: EmpiricalSnapshot, limit: LimitMeasure, eps: float, *, tol: float = DEFAULT_TOL
-) -> tuple[float, float]:
-    """(empirical, predicted) impact mass of the window [1 - eps, 1].
-
-    1 - eps must land on a bin edge (the empirical side is binned); the
-    default bin counts make eps = 0.1 or 0.01 exact.
-    """
-    if not 0.0 < eps <= 1.0:
-        raise MeasureError("eps must lie in (0, 1]")
-    edges = snap.edges
-    cut = 1.0 - eps
-    j = int(np.argmin(np.abs(edges - cut)))
-    if abs(edges[j] - cut) > 1e-9:
-        raise MeasureError(
-            f"window edge {cut} does not align with the snapshot bins; "
-            "choose eps as a multiple of the bin width"
-        )
-    empirical = snap.window_mass(j)
-    predicted = limit.mass(float(edges[j]), 1.0, tol=tol)
-    return empirical, predicted
-
-
-@dataclass(frozen=True)
 class ReplicaAggregate:
     """Cross-replica mean and standard error of one checkpoint's snapshots."""
 
@@ -217,7 +140,6 @@ class ReplicaAggregate:
     pk_mean: np.ndarray
     pk_stderr: np.ndarray
     total_impact_mean: float
-    total_impact_stderr: float
     max_impact_mean: float
 
     @property
@@ -242,13 +164,8 @@ def aggregate(snaps: list[EmpiricalSnapshot]) -> ReplicaAggregate:
         raise MeasureError("snapshots disagree on time or binning")
     fbar_mean, fbar_stderr = _mean_stderr(np.array([[s.fbar] for s in snaps]))
     gamma_mean, gamma_stderr = _mean_stderr(np.stack([s.gamma_mass for s in snaps]))
-    gk = np.stack([s.impact_counts[:-1] / s.n for s in snaps])
-    gk_mean = gk.mean(axis=0)
-    gk_stderr = (
-        gk.std(axis=0, ddof=1) / math.sqrt(len(snaps)) if len(snaps) > 1 else np.zeros_like(gk_mean)
-    )
+    gk_mean, gk_stderr = _mean_stderr(np.stack([s.impact_counts[:-1] / s.n for s in snaps]))
     pk_mean, pk_stderr = _mean_stderr(np.stack([s.pk for s in snaps]))
-    ti_mean, ti_stderr = _mean_stderr(np.array([[float(s.total_impact)] for s in snaps]))
     return ReplicaAggregate(
         n=first.n,
         lam=first.lam,
@@ -262,7 +179,176 @@ def aggregate(snaps: list[EmpiricalSnapshot]) -> ReplicaAggregate:
         gamma_k_stderr=gk_stderr,
         pk_mean=pk_mean,
         pk_stderr=pk_stderr,
-        total_impact_mean=float(ti_mean[0]),
-        total_impact_stderr=float(ti_stderr[0]),
+        total_impact_mean=float(np.mean([s.total_impact for s in snaps])),
         max_impact_mean=float(np.mean([s.max_impact for s in snaps])),
     )
+
+
+def _criterion(name: str, passed: bool, measured, threshold, **details) -> dict:
+    entry = {"name": name, "passed": bool(passed), "measured": measured, "threshold": threshold}
+    entry.update(details)
+    return entry
+
+
+def evaluate(
+    theory: dict, tables: Mapping[str, list[dict[str, float]]], config, replicas: int
+) -> tuple[dict, dict[str, tuple[list[str], list[tuple]]]]:
+    """The criteria of ``pafit compare``: a simulation aggregate against the limit.
+
+    ``theory`` is the limit summary written by ``pafit theory``. ``tables``
+    maps each table's file stem to its rows: ``aggregate_trajectory``,
+    ``aggregate_gamma``, ``aggregate_gamma_k`` and ``aggregate_pk`` from the
+    simulation, ``gamma_bins`` and ``gamma_k_bins`` from the theory.
+    ``config`` supplies lambda, the fitness law, the attachment model and
+    epsilon; ``replicas`` is the number of replicas behind the aggregate.
+
+    Returns the report and the comparison tables, each keyed by file stem
+    as ``(header, rows)``. Raises :class:`MeasureError` when the two sides
+    use different bin edges, or when the condensation window [1 - eps, 1]
+    does not start on a bin edge.
+    """
+    lam = config.lam
+    phase = theory["phase"]
+    theta_star = theory["theta_star"]
+    trajectory = tables["aggregate_trajectory"]
+    gamma_rows = tables["aggregate_gamma"]
+    theory_gamma = tables["gamma_bins"]
+    pk_rows = tables["aggregate_pk"]
+
+    if [r["bin_lo"] for r in gamma_rows] != [r["bin_lo"] for r in theory_gamma]:
+        raise MeasureError("simulation and theory used different bin edges")
+
+    criteria: list[dict] = []
+    final = trajectory[-1]
+
+    empirical = np.array([r["mean"] for r in gamma_rows])
+    predicted = np.array([r["predicted_mass"] for r in theory_gamma])
+    abs_err = np.abs(empirical - predicted)
+    gamma_compare = [
+        (r["bin_lo"], r["bin_hi"], e, p, a)
+        for r, e, p, a in zip(gamma_rows, empirical, predicted, abs_err)
+    ]
+
+    # total impact mass 1 + edges/n, within 3 SE. Under the Poisson model a
+    # replica's edge count is exactly Poisson(lambda (n - 1)), so the mean of
+    # R replicas has target 1 + lambda (n - 1)/n and SE
+    # sqrt(lambda (n - 1) / (R n^2)). Under the fixed-outdegree model every
+    # replica has exactly lambda (n - 1) edges, so the total is exact. Custom
+    # kernels use the per-bin cross-replica SEs around 1 + lambda
+    n = int(final["n"])
+    total = float(empirical.sum())
+    model = config.attachment_model()
+    if isinstance(model, simulator.PoissonOutdegree):
+        target = 1.0 + lam * (n - 1) / n
+        se = math.sqrt(lam * (n - 1) / (replicas * n * n))
+        passed = abs(total - target) <= 3.0 * se
+        band = {"target": target, "band": 3.0 * se}
+    elif isinstance(model, simulator.FixedOutdegree):
+        exact = (1.0 + lam) - lam / n
+        passed = abs(total - exact) <= 1e-9
+        band = {"target": exact, "band": "exact (deterministic outdegree)"}
+    else:
+        totals_se = math.sqrt(sum(r["stderr"] ** 2 for r in gamma_rows))
+        passed = abs(total - (1.0 + lam)) <= 3.0 * totals_se
+        band = {"target": 1.0 + lam, "band": 3.0 * totals_se}
+    criteria.append(_criterion("gamma_total_mass_3se", passed, total, band))
+
+    pk_pred = theory["pk"]
+    pk_compare = [
+        (
+            int(row["k"]),
+            row["mean"],
+            row["stderr"],
+            pk_pred[int(row["k"]) - 1],
+            abs(row["mean"] - pk_pred[int(row["k"]) - 1]),
+        )
+        for row in pk_rows
+    ]
+
+    if phase == "FitGetRicher":
+        rel = abs(final["fbar_mean"] - theta_star) / theta_star
+        criteria.append(
+            _criterion("normalisation_vs_theta_star", rel <= FBAR_REL_TOL, final["fbar_mean"],
+                       {"theta_star": theta_star, "rel_tol": FBAR_REL_TOL})
+        )
+        bin_tol = GAMMA_BIN_TOL_FACTOR * (1.0 + lam)
+        criteria.append(
+            _criterion("gamma_max_bin_error", float(abs_err.max()) <= bin_tol,
+                       float(abs_err.max()), bin_tol)
+        )
+        pk_err = [
+            abs(row["mean"] - pk_pred[int(row["k"]) - 1])
+            for row in pk_rows
+            if int(row["k"]) <= 5
+        ]
+        criteria.append(
+            _criterion("impact_fraction_error_k1_5", max(pk_err) <= PK_ABS_TOL,
+                       max(pk_err), PK_ABS_TOL)
+        )
+        gamma_k_sim = tables["aggregate_gamma_k"]
+        gamma_k_theory = tables["gamma_k_bins"]
+        for k in (1, 2):
+            sim_k = np.array([r["mean"] for r in gamma_k_sim if int(r["k"]) == k])
+            theory_k = np.array(
+                [r["predicted_mass"] for r in gamma_k_theory if int(r["k"]) == k]
+            )
+            l1 = float(np.abs(sim_k - theory_k).sum())
+            criteria.append(
+                _criterion(f"impact_law_l1_k{k}", l1 <= GAMMA_K_L1_TOL, l1, GAMMA_K_L1_TOL)
+            )
+    else:
+        # from a cold start the normalisation climbs towards theta* = 1 from
+        # below at every n (docs/DECISIONS.md): the corridor is the a-priori
+        # floor up to theta*, half-open, and the trend is rising
+        lo = simulator.normalisation_lower_edge(config.distribution(), lam)
+        fbar_final = final["fbar_mean"]
+        criteria.append(
+            _criterion("normalisation_corridor", lo <= fbar_final < theta_star,
+                       fbar_final, [lo, theta_star])
+        )
+        tail = [row["fbar_mean"] for row in trajectory[-BE_TREND_CHECKPOINTS:]]
+        increasing = all(a < b for a, b in zip(tail, tail[1:]))
+        criteria.append(
+            _criterion("normalisation_trend_increasing", increasing, tail, "strictly increasing")
+        )
+        # condensation window [1 - eps, 1]
+        cut = 1.0 - config.epsilon
+        lows = [r["bin_lo"] for r in gamma_rows]
+        j = int(np.argmin(np.abs(np.array(lows) - cut)))
+        if abs(lows[j] - cut) > 1e-9:
+            raise MeasureError("epsilon window does not align with the histogram bins")
+        emp_window = float(empirical[j:].sum())
+        pred_window = float(predicted[j:].sum())
+        bulk_window = pred_window - theory["condensate_mass"]
+        criteria.append(
+            _criterion("condensation_window_abs",
+                       abs(emp_window - pred_window) <= CONDENSATION_ABS_TOL,
+                       emp_window, {"predicted": pred_window, "abs_tol": CONDENSATION_ABS_TOL})
+        )
+        criteria.append(
+            _criterion("condensation_window_signature",
+                       emp_window >= CONDENSATION_SIGNATURE_FACTOR * bulk_window,
+                       emp_window,
+                       {"bulk_only": bulk_window, "factor": CONDENSATION_SIGNATURE_FACTOR})
+        )
+
+    report = {
+        "schema_version": 1,
+        "phase": phase,
+        "lambda": lam,
+        "theta_star": theta_star,
+        "n": n,
+        "criteria": criteria,
+        "passed": all(c["passed"] for c in criteria),
+    }
+    outputs = {
+        "gamma_compare": (
+            ["bin_lo", "bin_hi", "empirical_mass", "predicted_mass", "abs_error"],
+            gamma_compare,
+        ),
+        "pk_compare": (
+            ["k", "empirical_mean", "empirical_stderr", "predicted", "abs_error"],
+            pk_compare,
+        ),
+    }
+    return report, outputs

@@ -340,31 +340,8 @@ FitnessDistribution = Union[FiniteDiscrete, PiecewiseDensity, BetaShape, Uniform
 def require_normalized(dist: FitnessDistribution) -> None:
     if dist.ess_sup != 1.0:
         raise MeasureError(
-            f"fitness law has ess sup {dist.ess_sup}; call normalize_esssup first"
+            f"fitness law has ess sup {dist.ess_sup}; rescale it so that its ess sup is 1"
         )
-
-
-def normalize_esssup(dist: FitnessDistribution) -> FitnessDistribution:
-    """Push the law forward under f -> f / ess_sup so that ess sup becomes 1."""
-    s = dist.ess_sup
-    if not (math.isfinite(s) and s > 0.0):
-        raise MeasureError(f"essential supremum {s} not normalisable")
-    if s == 1.0:
-        return dist
-    if isinstance(dist, FiniteDiscrete):
-        return FiniteDiscrete(tuple((v / s, m) for v, m in dist.points))
-    if isinstance(dist, PiecewiseDensity):
-        if dist.atom_at_one > 0.0:
-            raise MeasureError(
-                "cannot rescale a density with an atom at 1: the atom would move "
-                f"to {1.0 / s}, which this representation cannot hold"
-            )
-        edges = tuple(e / s for e in dist.edges)
-        coeffs = tuple(
-            tuple(c * s ** (i + 1) for i, c in enumerate(piece)) for piece in dist.coeffs
-        )
-        return PiecewiseDensity(edges, coeffs)
-    return dist  # BetaShape / Uniform01 are normalised by construction
 
 
 # ---------------------------------------------------------------------------
@@ -447,16 +424,6 @@ def _piecewise_quantile(dist: PiecewiseDensity, targets: np.ndarray) -> np.ndarr
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return hi
-
-
-def sample(dist: FitnessDistribution, rng) -> float:
-    """Draw one fitness; consumes exactly one uniform from ``rng.random()``."""
-    return quantile(dist, rng.random())
-
-
-def sample_many(dist: FitnessDistribution, rng, size: int) -> np.ndarray:
-    """Vectorised sampling; consumes exactly ``size`` uniforms."""
-    return np.atleast_1d(quantile(dist, rng.random(size)))
 
 
 # ---------------------------------------------------------------------------

@@ -95,16 +95,6 @@ class PrefixSumTree:
             i += i & (-i)
         self.total += delta
 
-    def prefix(self, count: int) -> float:
-        """Sum of the first ``count`` elements."""
-        acc = 0.0
-        i = count
-        tree = self._tree
-        while i > 0:
-            acc += tree[i]
-            i -= i & (-i)
-        return acc
-
     def find(self, target: float) -> int:
         """Smallest 0-based index whose prefix sum exceeds ``target``."""
         pos = 0
@@ -425,7 +415,7 @@ def normalisation_lower_edge(dist: FitnessDistribution, lam: float) -> float:
 
     Every vertex carries impact at least 1, so fbar is at least the sample
     mean fitness over lambda, at any size; the 0.05 slack absorbs the
-    sampling error of that mean. ``cli.cmd_compare`` uses this edge as the
+    sampling error of that mean. ``empirics.evaluate`` uses this edge as the
     floor of the condensation-phase corridor.
     """
     mean_fit = measures.mean_fitness(dist)

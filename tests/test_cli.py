@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from pafit import cli
+from pafit import cli, empirics
 from pafit.config import ConfigError, ExperimentConfig
+from pafit.measures import MeasureError
 
 
 def small_config(tmp_path, **overrides) -> ExperimentConfig:
@@ -167,48 +168,39 @@ class TestCompare:
         assert (out / "compare/report.json").exists()
         assert (out / "compare/gamma_compare.csv").exists()
 
-    def test_total_mass_band_is_exact_poisson_se(self, tmp_path):
+    def test_total_mass_band_is_exact_poisson_se(self, on_limit):
         """The Poisson edge count is exactly Poisson(lambda (n-1)): the band is
         3 exact SE around 1 + lambda (n-1)/n, whatever the per-bin SEs say."""
-        config = small_config(tmp_path, model={"type": "poisson"}, n_target=600)
-        out = tmp_path / "out"
-        cli.cmd_theory(config, out_dir=out)
-        cli.cmd_simulate(config, out_dir=out, threads=1)
         n, lam, replicas = 600, 2.0, 2
+        config, theory, tables = on_limit([1.2965], n_target=n)
         target = 1.0 + lam * (n - 1) / n
         se = math.sqrt(lam * (n - 1) / (replicas * n * n))
-        path = out / "sim/aggregate_gamma.csv"
-        rows = [[float(v) for v in line.split(",")] for line in path.read_text().splitlines()[1:]]
+        rows = tables["aggregate_gamma"]
         for z, expected in ((1.46, True), (2.9, True), (-2.9, True), (3.1, False), (-3.1, False)):
             # a tiny per-bin spread, as when two replicas fill the same two bins
-            rows[-1][2] += target + z * se - sum(r[2] for r in rows)
-            cli.write_csv(path, ["bin_lo", "bin_hi", "mean", "stderr"],
-                          [r[:3] + [1e-6] for r in rows])
-            mass = next(
-                c for c in cli.cmd_compare(config, out_dir=out)["criteria"]
-                if c["name"] == "gamma_total_mass_3se"
-            )
+            rows[-1]["mean"] += target + z * se - sum(r["mean"] for r in rows)
+            for row in rows:
+                row["stderr"] = 1e-6
+            report, _ = empirics.evaluate(theory, tables, config, replicas)
+            mass = next(c for c in report["criteria"] if c["name"] == "gamma_total_mass_3se")
             assert mass["threshold"]["target"] == pytest.approx(target, abs=1e-15)
             assert mass["threshold"]["band"] == pytest.approx(3.0 * se, rel=1e-12)
             assert mass["passed"] is expected, (z, mass)
 
-    def test_fixed_outdegree_total_mass_is_exact(self, complete_run):
+    def test_fixed_outdegree_total_mass_is_exact(self, on_limit):
         """Every fixed-outdegree replica has exactly lambda (n-1) edges: the
         total is checked against 1 + lambda (n-1)/n exactly, however wide
         the per-bin SEs are, so a run that lost 1% of its mass fails."""
-        config, out = complete_run
         n, lam = 4000, 2.0
+        config, theory, tables = on_limit([1.2965], model={"type": "multinomial"}, n_target=n)
         exact = 1.0 + lam * (n - 1) / n
-        path = out / "sim/aggregate_gamma.csv"
-        rows = [[float(v) for v in line.split(",")] for line in path.read_text().splitlines()[1:]]
+        rows = tables["aggregate_gamma"]
         for scale, expected in ((1.0, True), (0.99, False)):
-            rows[-1][2] += scale * exact - sum(r[2] for r in rows)
-            cli.write_csv(path, ["bin_lo", "bin_hi", "mean", "stderr"],
-                          [r[:3] + [0.05] for r in rows])
-            mass = next(
-                c for c in cli.cmd_compare(config, out_dir=out)["criteria"]
-                if c["name"] == "gamma_total_mass_3se"
-            )
+            rows[-1]["mean"] += scale * exact - sum(r["mean"] for r in rows)
+            for row in rows:
+                row["stderr"] = 0.05
+            report, _ = empirics.evaluate(theory, tables, config, 3)
+            mass = next(c for c in report["criteria"] if c["name"] == "gamma_total_mass_3se")
             assert mass["threshold"]["target"] == pytest.approx(exact, abs=1e-15)
             assert mass["passed"] is expected, (scale, mass)
 
@@ -219,6 +211,15 @@ class TestCompare:
         (out / "theory/limit_summary.json").write_text(json.dumps(doctored))
         with pytest.raises(Exception, match="lambda mismatch"):
             cli.cmd_compare(config, out_dir=out)
+
+    def test_model_mismatch_rejected(self, complete_run):
+        """The model sets the total-mass band, so a run compared under another
+        model's config is refused rather than judged by the wrong band."""
+        config, out = complete_run
+        for model in ({"type": "poisson"}, {"type": "pairs_demo"}):
+            other = ExperimentConfig.from_dict({**config.to_dict(), "model": model})
+            with pytest.raises(MeasureError, match="model mismatch"):
+                cli.cmd_compare(other, out_dir=out)
 
     def test_empty_run_dir_rejected(self, tmp_path):
         config = small_config(tmp_path)

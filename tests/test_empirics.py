@@ -1,5 +1,8 @@
 """Empirics tests: snapshot bookkeeping identities (exact, integer
-arithmetic), limit comparisons, the condensation window, and aggregation."""
+arithmetic), snapshots against the limit laws, aggregation, and the
+criteria of ``evaluate`` on synthetic tables."""
+
+import math
 
 import numpy as np
 import pytest
@@ -60,7 +63,8 @@ class TestSnapshot:
     def test_pk_plus_tail_is_one_exactly(self, grown_state):
         snap = E.snapshot(grown_state, bins=10, k_max=4)
         assert snap.impact_counts.sum() == snap.n
-        assert float(snap.pk.sum() + snap.tail_fraction) == pytest.approx(1.0, abs=1e-15)
+        tail_fraction = snap.impact_counts[-1].sum() / snap.n
+        assert float(snap.pk.sum() + tail_fraction) == pytest.approx(1.0, abs=1e-15)
 
     def test_weighted_impact_counts_bounded_by_gamma(self, grown_state):
         snap = E.snapshot(grown_state, bins=10, k_max=8)
@@ -89,75 +93,124 @@ class TestSnapshot:
         assert np.array_equal(plain, E.uniform_edges(10))
 
 
+FGR_CRITERIA = [
+    "gamma_total_mass_3se",
+    "normalisation_vs_theta_star",
+    "gamma_max_bin_error",
+    "impact_fraction_error_k1_5",
+    "impact_law_l1_k1",
+    "impact_law_l1_k2",
+]
+BE_CRITERIA = [
+    "gamma_total_mass_3se",
+    "normalisation_corridor",
+    "normalisation_trend_increasing",
+    "condensation_window_abs",
+    "condensation_window_signature",
+]
+CUBIC_GAP = {"type": "density", "edges": [0.0, 1.0], "coeffs": [[3.0, -6.0, 3.0]]}
+BE_FBAR = [0.80, 0.81, 0.82]  # rising towards theta* = 1 from below
+
+
+def criteria_by_name(report: dict) -> dict[str, dict]:
+    return {c["name"]: c for c in report["criteria"]}
+
+
 class TestCompare:
-    def test_limit_against_itself_is_zero(self, two_point):
-        gamma = LT.limit_gamma(two_point, 2.0)
-        edges = E.uniform_edges(20)
-        predicted = gamma.bin_masses(edges)
-        comp = E.compare_masses(edges, predicted, gamma)
-        assert comp.max_abs_error == 0.0
-        assert comp.l1_distance == 0.0
+    def test_limit_against_itself_is_zero(self, on_limit):
+        config, theory, tables = on_limit([1.2965])
+        report, outputs = E.evaluate(theory, tables, config, replicas=2)
+        crit = criteria_by_name(report)
+        for name in ("gamma_max_bin_error", "impact_fraction_error_k1_5",
+                     "impact_law_l1_k1", "impact_law_l1_k2"):
+            assert crit[name]["measured"] == 0.0, name
+        header, rows = outputs["gamma_compare"]
+        assert header[-1] == "abs_error" and all(row[-1] == 0.0 for row in rows)
+        assert report["passed"]
+
+    def test_fgr_criteria_names_and_order(self, on_limit):
+        config, theory, tables = on_limit([1.2965])
+        report, _ = E.evaluate(theory, tables, config, replicas=2)
+        assert report["phase"] == "FitGetRicher"
+        assert [c["name"] for c in report["criteria"]] == FGR_CRITERIA
+
+    def test_custom_kernel_band_sums_bin_stderrs(self, on_limit):
+        """A custom kernel has no known edge-count law: the band is 3 times
+        the root sum of squares of the per-bin SEs, around 1 + lambda."""
+        config, theory, tables = on_limit([1.2965], model={"type": "pairs_demo"})
+        rows = tables["aggregate_gamma"]
+        for b, row in enumerate(rows):
+            row["stderr"] = 0.001 * (b + 1)
+        band = 3.0 * math.sqrt(sum((0.001 * (b + 1)) ** 2 for b in range(len(rows))))
+        for z, expected in ((2.9, True), (-2.9, True), (3.1, False), (-3.1, False)):
+            rows[-1]["mean"] += 3.0 + z * band / 3.0 - sum(r["mean"] for r in rows)
+            report, _ = E.evaluate(theory, tables, config, replicas=2)
+            mass = criteria_by_name(report)["gamma_total_mass_3se"]
+            assert mass["threshold"] == {"target": 3.0, "band": pytest.approx(band, rel=1e-12)}
+            assert mass["passed"] is expected, (z, mass)
 
     def test_fgr_run_approaches_limit(self, two_point):
         gamma = LT.limit_gamma(two_point, 2.0)
         state = S.new_graph(two_point, 2.0, S.FixedOutdegree(), seed=7)
-        snaps = S.run(state, 30_000, bins=20, k_max=5)
-        comp = E.compare_gamma(snaps[-1], gamma)
-        assert comp.max_abs_error < 0.15
-        assert comp.empirical_total == pytest.approx(3.0, abs=0.05)
+        snap = S.run(state, 30_000, bins=20, k_max=5)[-1]
+        assert np.abs(snap.gamma_mass - gamma.bin_masses(snap.edges)).max() < 0.15
+        assert snap.gamma_mass.sum() == pytest.approx(3.0, abs=0.05)
 
     def test_max_bin_error_trend(self, two_point):
         # eventually decreasing along checkpoints: first vs last
         gamma = LT.limit_gamma(two_point, 2.0)
         state = S.new_graph(two_point, 2.0, S.FixedOutdegree(), seed=11)
         snaps = S.run(state, 30_000, bins=20, k_max=5)
-        errors = [E.compare_gamma(s, gamma).max_abs_error for s in snaps]
+        errors = [np.abs(s.gamma_mass - gamma.bin_masses(s.edges)).max() for s in snaps]
         assert errors[-1] < errors[2]
 
     def test_gamma_k_comparison(self, two_point):
         theta = LT.solve_theta_star(two_point, 2.0)
         state = S.new_graph(two_point, 2.0, S.FixedOutdegree(), seed=13)
-        snaps = S.run(state, 30_000, bins=20, k_max=5)
-        comp = E.compare_gamma_k(snaps[-1], LT.limit_gamma_k(two_point, theta, 1), 1)
-        assert comp.l1_distance < 0.1
+        snap = S.run(state, 30_000, bins=20, k_max=5)[-1]
+        limit_k1 = LT.limit_gamma_k(two_point, theta, 1)
+        assert np.abs(snap.impact_counts[0] / snap.n - limit_k1.bin_masses(snap.edges)).sum() < 0.1
 
-    def test_mismatched_bins_rejected(self, two_point):
-        gamma = LT.limit_gamma(two_point, 2.0)
-        with pytest.raises(M.MeasureError):
-            E.compare_masses(E.uniform_edges(10), np.zeros(5), gamma)
+    def test_mismatched_bins_rejected(self, on_limit):
+        config, theory, tables = on_limit([1.2965])
+        tables["gamma_bins"] = tables["gamma_bins"][::2]
+        with pytest.raises(M.MeasureError, match="different bin edges"):
+            E.evaluate(theory, tables, config, replicas=2)
 
 
 class TestCondensation:
-    def test_predicted_window_be(self, cubic_gap):
-        gamma = LT.limit_gamma(cubic_gap, 1.0)
-        state = S.new_graph(cubic_gap, 1.0, S.PoissonOutdegree(), seed=17)
-        snaps = S.run(state, 2000, bins=10, k_max=5)
-        _, predicted = E.condensation_diagnostic(snaps[-1], gamma, 0.1)
-        assert predicted == pytest.approx(0.015 + 0.5, abs=1e-8)
+    def test_be_criteria_names_and_order(self, on_limit):
+        config, theory, tables = on_limit(BE_FBAR, fitness=CUBIC_GAP, **{"lambda": 1.0})
+        report, _ = E.evaluate(theory, tables, config, replicas=2)
+        assert report["phase"] == "BoseEinstein"
+        assert [c["name"] for c in report["criteria"]] == BE_CRITERIA
+        assert report["passed"]
 
-    def test_full_window_is_total_mass(self, cubic_gap):
-        gamma = LT.limit_gamma(cubic_gap, 1.0)
-        state = S.new_graph(cubic_gap, 1.0, S.PoissonOutdegree(), seed=17)
-        snap = E.snapshot(state, bins=10, k_max=5)
-        emp, predicted = E.condensation_diagnostic(snap, gamma, 1.0)
-        assert predicted == pytest.approx(2.0, abs=1e-8)
-        assert emp == pytest.approx(snap.gamma_mass.sum())
+    def test_predicted_window_be(self, on_limit):
+        config, theory, tables = on_limit(BE_FBAR, fitness=CUBIC_GAP, **{"lambda": 1.0})
+        report, _ = E.evaluate(theory, tables, config, replicas=2)
+        window = criteria_by_name(report)["condensation_window_abs"]
+        assert window["threshold"]["predicted"] == pytest.approx(0.015 + 0.5, abs=1e-8)
 
-    def test_fgr_window_has_no_atom(self, two_point):
-        gamma = LT.limit_gamma(two_point, 2.0)
-        state = S.new_graph(two_point, 2.0, S.FixedOutdegree(), seed=19)
-        snap = E.snapshot(state, bins=10, k_max=5)
-        theta = LT.solve_theta_star(two_point, 2.0)
-        _, predicted = E.condensation_diagnostic(snap, gamma, 0.1)
-        # only the discrete point at 1 contributes to (0.9, 1]
-        assert predicted == pytest.approx(0.5 * theta / (theta - 1.0), abs=1e-7)
+    def test_full_window_is_total_mass(self, on_limit):
+        config, theory, tables = on_limit(
+            BE_FBAR, fitness=CUBIC_GAP, epsilon=1.0, **{"lambda": 1.0}
+        )
+        for row in tables["aggregate_gamma"]:
+            row["mean"] *= 0.5
+        report, _ = E.evaluate(theory, tables, config, replicas=2)
+        window = criteria_by_name(report)["condensation_window_abs"]
+        assert window["threshold"]["predicted"] == pytest.approx(2.0, abs=1e-8)
+        assert window["measured"] == pytest.approx(
+            sum(row["mean"] for row in tables["aggregate_gamma"])
+        )
 
-    def test_unaligned_window_rejected(self, cubic_gap):
-        gamma = LT.limit_gamma(cubic_gap, 1.0)
-        state = S.new_graph(cubic_gap, 1.0, S.PoissonOutdegree(), seed=17)
-        snap = E.snapshot(state, bins=10, k_max=5)
-        with pytest.raises(M.MeasureError):
-            E.condensation_diagnostic(snap, gamma, 0.05)
+    def test_unaligned_window_rejected(self, on_limit):
+        config, theory, tables = on_limit(
+            BE_FBAR, fitness=CUBIC_GAP, epsilon=0.05, **{"lambda": 1.0}
+        )
+        with pytest.raises(M.MeasureError, match="epsilon window"):
+            E.evaluate(theory, tables, config, replicas=2)
 
 
 class TestAggregate:

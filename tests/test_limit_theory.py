@@ -138,6 +138,16 @@ class TestLimitGamma:
         assert gamma.mass(0.0, 1.0) - gamma.atom_at_one == pytest.approx(1.5, abs=1e-9)
         assert gamma.density_at(0.5) == pytest.approx(2.0, abs=1e-12)
 
+    def test_window_masses(self, two_point, cubic_gap):
+        # the condensation window (1 - eps, 1] at eps = 0.1, and the full window
+        be = LT.limit_gamma(cubic_gap, 1.0)
+        assert be.mass(0.9, 1.0) == pytest.approx(0.015 + 0.5, abs=1e-8)
+        assert be.mass(0.0, 1.0) == pytest.approx(2.0, abs=1e-8)
+        # fit-get-richer: only the discrete point at 1 lies in (0.9, 1], no atom
+        theta = two_point_theta_oracle()
+        fgr = LT.limit_gamma(two_point, 2.0)
+        assert fgr.mass(0.9, 1.0) == pytest.approx(0.5 * theta / (theta - 1.0), abs=1e-7)
+
     def test_total_mass_one_plus_lambda(self, two_point, cubic_gap, uniform, beta23):
         for dist, lam in (
             (two_point, 2.0),

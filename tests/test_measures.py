@@ -66,36 +66,17 @@ class TestConstruction:
 
 
 class TestNormalise:
-    def test_discrete_scaling(self):
-        raw = M.FiniteDiscrete([(0.25, 0.5), (0.5, 0.5)])
-        out = M.normalize_esssup(raw)
-        assert out.points == ((0.5, 0.5), (1.0, 0.5))
-
-    def test_uniform_identity(self, uniform):
-        assert M.normalize_esssup(uniform) is uniform
-
-    def test_density_pushforward(self):
-        raw = M.PiecewiseDensity((0.0, 2.0), ((0.5,),))
-        out = M.normalize_esssup(raw)
-        assert out.edges == (0.0, 1.0)
-        assert out.coeffs == ((1.0,),)
-
-    def test_atom_with_rescale_rejected(self):
-        raw = M.PiecewiseDensity((0.0, 2.0), ((0.4,),), atom_at_one=0.2)
-        with pytest.raises(M.MeasureError):
-            M.normalize_esssup(raw)
-
     def test_pushforward_consistency_of_mean(self):
         raw = M.FiniteDiscrete([(0.2, 0.25), (0.3, 0.25), (0.4, 0.5)])
         s = raw.ess_sup
-        out = M.normalize_esssup(raw)
+        out = M.FiniteDiscrete([(v / s, m) for v, m in raw.points])
         assert M.mean_fitness(out) == pytest.approx(M.mean_fitness(raw) / s, abs=1e-14)
 
-    def test_require_normalized(self):
+    def test_require_normalized(self, two_point):
         raw = M.FiniteDiscrete([(0.25, 0.5), (0.5, 0.5)])
         with pytest.raises(M.MeasureError):
             M.require_normalized(raw)
-        M.require_normalized(M.normalize_esssup(raw))
+        M.require_normalized(two_point)
 
 
 # ---------------------------------------------------------------------------
@@ -105,46 +86,34 @@ class TestNormalise:
 
 class TestSampling:
     def test_discrete_inverse_cdf_value_order(self, two_point):
-        class Fixed:
-            def random(self):
-                return 0.3
-
-        assert M.sample(two_point, Fixed()) == 0.5
+        assert M.quantile(two_point, 0.3) == 0.5
 
     def test_discrete_boundary_goes_to_upper_point(self, two_point):
         assert M.quantile(two_point, 0.5) == 1.0
 
     def test_uniform_mean_of_million(self, uniform, rng):
-        mean = M.sample_many(uniform, rng, 10**6).mean()
+        mean = M.quantile(uniform, rng.random(10**6)).mean()
         assert abs(mean - 0.5) < 0.002
 
     def test_samples_in_support(self, cubic_gap, beta23, rng):
         for dist in (cubic_gap, beta23):
-            xs = M.sample_many(dist, rng, 2000)
+            xs = M.quantile(dist, rng.random(2000))
             assert np.all(xs > 0.0) and np.all(xs <= 1.0)
 
     def test_density_sample_mean_matches_first_moment(self, cubic_gap, rng):
-        xs = M.sample_many(cubic_gap, rng, 10**5)
+        xs = M.quantile(cubic_gap, rng.random(10**5))
         assert abs(xs.mean() - M.mean_fitness(cubic_gap)) < 0.005
 
     def test_atom_sampled_with_its_mass(self, rng):
         dist = M.PiecewiseDensity((0.0, 1.0), ((0.6,),), atom_at_one=0.4)
-        xs = M.sample_many(dist, rng, 20000)
+        xs = M.quantile(dist, rng.random(20000))
         assert abs(np.mean(xs == 1.0) - 0.4) < 0.02
 
-    def test_one_uniform_per_sample(self, two_point):
-        class Counting:
-            calls = 0
-
-            def random(self, size=None):
-                self.calls += 1 if size is None else size
-                return 0.25 if size is None else np.full(size, 0.25)
-
-        stream = Counting()
-        M.sample(two_point, stream)
-        assert stream.calls == 1
-        M.sample_many(two_point, stream, 17)
-        assert stream.calls == 18
+    def test_one_uniform_per_sample(self, two_point, cubic_gap, uniform, beta23):
+        # each uniform maps to its own fitness, alone or inside a batch
+        us = np.linspace(0.0, 0.99, 17)
+        for dist in (two_point, cubic_gap, uniform, beta23):
+            assert M.quantile(dist, us).tolist() == [M.quantile(dist, u) for u in us]
 
     @pytest.mark.parametrize(
         "dist",
@@ -321,7 +290,7 @@ class TestIntegrate:
     def test_pushforward_scales_rational_integral(self, p1, w):
         # integrate(normalized, f) == integrate(raw, f) / s for the pushforward
         raw = M.FiniteDiscrete([(p1 * 0.5, w), (0.5, 1.0 - w)])
-        out = M.normalize_esssup(raw)
+        out = M.FiniteDiscrete([(v / 0.5, m) for v, m in raw.points])
         assert M.mean_fitness(out) == pytest.approx(M.mean_fitness(raw) / 0.5, rel=1e-12)
 
 

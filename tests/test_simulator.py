@@ -154,9 +154,10 @@ class TestSampler:
         for idx in rng.integers(0, 500, 50):
             tree.add(int(idx), 0.25)
             expected[int(idx)] += 0.25
-        totals = np.array([tree.prefix(i + 1) for i in range(500)])
-        diffs = np.diff(np.concatenate([[0.0], totals]))
-        assert np.allclose(diffs, expected, atol=1e-12)
+        # the midpoint of each element's share of the total picks that element
+        mids = (np.cumsum(expected) - expected / 2.0) / expected.sum()
+        for i, u in enumerate(mids):
+            assert tree.find(u * tree.total) == linear_scan_pick(expected, u) == i
         assert tree.total == pytest.approx(expected.sum(), rel=1e-12)
 
 
