@@ -1,11 +1,12 @@
 """Sequential growth of the random multigraph under impact evolutions.
 
 The graph is represented only through the per-vertex fitness and impact
-arrays plus the running total weight ``W = sum_i fitness_i * impact_i``;
-the full adjacency is never stored (an optional edge log can be switched on
-for debugging). Each growth step freezes the current weights, draws the
-edge increments of the chosen attachment model against them, applies the
-increments, and appends the new vertex with impact 1.
+arrays (``array("d")`` and ``array("q")``, 16 bytes a vertex) plus the
+running total weight ``W = sum_i fitness_i * impact_i``; the full adjacency
+is never stored (an optional edge log can be switched on for debugging).
+Each growth step freezes the current weights, draws the edge increments of
+the chosen attachment model against them, applies the increments, and
+appends the new vertex with impact 1.
 
 Attachment models:
 
@@ -20,9 +21,14 @@ Both built-in models run on one token urn (Batagelj & Brandes, Phys. Rev. E
 71, 036113, 2005, plus a rejection step): vertex i holds ``impact[i]``
 tokens, and a draw picks a uniform token and keeps its owner with
 probability F_i <= 1, so it lands on i with probability F_i Z_i / W. A
-step's tokens are added only after all its targets are drawn. A draw takes
+step's draws see only the tokens present when the step began. A draw takes
 ``total_impact / total_weight`` tries on average (1.16 on the two-point law
-at lambda 2, about 2.5 on the density 3(1-f)^2 at lambda 1). Custom-kernel
+at lambda 2, about 2.5 on the density 3(1-f)^2 at lambda 1). The Python
+loop of :func:`_grow` does nothing else per edge: two uniforms and a token
+lookup per try, one append per target. Impacts and W are updated from the
+appended tokens once per call, by numpy, in the order a running sum would
+add them; that loop costs about 1.2 µs per edge on the two-point law and
+2.5 µs on the density (2-CPU Xeon, traced ``perfbench`` runs). Custom-kernel
 states keep a :class:`PrefixSumTree` instead, for ``KernelView.pick``.
 
 Randomness is organised in four documented channels per replica so that a
@@ -181,8 +187,10 @@ class _TokenUrnModel:
     """One-step draw shared by the built-in models; see the module docstring."""
 
     def draw_increments(self, state: "GraphState", streams: ReplicaStreams) -> dict[int, int]:
+        targets: list[int] = []
         count = self.outdegrees(state.lam, streams)()
-        return Counter(_draw_targets(state.tokens, state.fitness, count, streams.next_edge_uniform))
+        _draw_targets(state.tokens, state.fitness, count, streams.next_edge_uniform, targets.append)
+        return Counter(targets)
 
 
 @dataclass(frozen=True)
@@ -228,7 +236,9 @@ AttachmentModel = PoissonOutdegree | FixedOutdegree | CustomKernel
 
 class GraphState:
     """The evolving network; confined to a single worker. Built-in models
-    keep the token urn ``tokens``, custom kernels the weight index ``tree``."""
+    keep the token urn ``tokens``, custom kernels the weight index ``tree``.
+    ``fitness``, ``impact`` and ``tokens`` are typed arrays, so that numpy
+    reads them without a copy."""
 
     __slots__ = (
         "dist",
@@ -252,8 +262,8 @@ class GraphState:
         self.lam = float(lam)
         self.model = model
         self.streams = streams
-        self.fitness: list[float] = []
-        self.impact: list[int] = []
+        self.fitness = array("d")  # 8 bytes a vertex
+        self.impact = array("q")
         builtin = isinstance(model, _TokenUrnModel)
         self.tokens: array | None = array("i") if builtin else None  # 4 bytes a token
         self.tree: PrefixSumTree | None = None if builtin else PrefixSumTree()
@@ -270,10 +280,11 @@ class GraphState:
 
     def reserve_fitness(self, target_n: int) -> None:
         """Pre-draw fitness marks up to vertex ``target_n`` at least (one
-        uniform each, in blocks of 256 or more)."""
+        uniform each, in blocks of 4096 or more: a density law's inverse CDF
+        costs about a millisecond to prepare per call)."""
         need = target_n - self.n - (len(self._fitness_queue) - self._fq_pos)
         if need > 0:
-            fresh = measures.quantile(self.dist, self.streams.fitness_uniforms(max(need, 256)))
+            fresh = measures.quantile(self.dist, self.streams.fitness_uniforms(max(need, 4096)))
             pending = self._fitness_queue[self._fq_pos:]
             self._fitness_queue = np.concatenate([pending, np.atleast_1d(fresh)])
             self._fq_pos = 0
@@ -358,7 +369,9 @@ def fbar(state: GraphState) -> float:
 
 def step(state: GraphState) -> GraphState:
     """One growth step: draw increments against the frozen weights, apply,
-    then append vertex n+1 with impact 1."""
+    then append vertex n+1 with impact 1. On a built-in model a step is a
+    one-vertex :func:`_grow`, whose numpy bookkeeping costs about 10 µs a
+    call; :func:`run` pays that once per checkpoint."""
     if state.tokens is not None:
         _grow(state, state.n + 1)
     else:
@@ -489,56 +502,68 @@ def run(
 
 
 def _draw_targets(
-    tokens: array, fitness: list[float], count: int, uniform: Callable[[], float]
-) -> list[int]:
+    tokens: array,
+    fitness: Sequence[float],
+    count: int,
+    uniform: Callable[[], float],
+    out: Callable[[int], object],
+) -> None:
     """The built-in edge-sampling loop: ``count`` token-urn draws against the
-    frozen ``tokens``, two channel-1 uniforms per try (``int(u * size)`` stays
-    below ``size`` for every double u < 1)."""
+    first ``len(tokens)`` tokens, two channel-1 uniforms per try, each target
+    passed to ``out``. The size is read once, so ``out`` may append to
+    ``tokens`` itself (``int(u * size)`` stays below ``size`` for every
+    double u < 1)."""
     size = len(tokens)
-    targets = []
     for _ in range(count):
         i = tokens[int(uniform() * size)]
         while uniform() >= fitness[i]:
             i = tokens[int(uniform() * size)]
-        targets.append(i)
-    return targets
+        out(i)
 
 
 def _grow(state: GraphState, n_stop: int) -> None:
-    """Advance a built-in model's state to ``n_stop`` vertices."""
+    """Advance a built-in model's state to ``n_stop`` vertices.
+
+    The marks of the new vertices are appended first: a draw reads only
+    vertices that own a token, and a vertex gets its token after its own
+    targets are drawn. The loop then only draws and appends tokens, each
+    step's targets and then the new vertex's own token. Impacts and the
+    total weight are updated once per call from the appended tokens: one
+    unit of impact each (``np.add.at``), and a sequential ``cumsum`` of their
+    fitnesses, which adds them in the order a running sum would.
+    """
     tokens = state.tokens
     fitness = state.fitness
-    impact = state.impact
     next_count = state.model.outdegrees(state.lam, state.streams)
     uniform = state.streams.next_edge_uniform
+    append = tokens.append
     log = state.edge_log
-    n = state.n
-    weight = state.total_weight
+    start_n = state.n
+    first = len(tokens)
     edges = state.edge_count
     impacts = state.total_impact
     state.reserve_fitness(n_stop)
     start = state._fq_pos
-    fresh = state._fitness_queue[start : start + n_stop - n].tolist()
-    state._fq_pos = start + len(fresh)
+    fitness.frombytes(state._fitness_queue[start : start + n_stop - start_n].tobytes())
+    state._fq_pos = start + n_stop - start_n
 
-    for f in fresh:  # the marks of vertices n, n + 1, ..., n_stop - 1
+    for n in range(start_n, n_stop):
         count = next_count()
         if count:
-            targets = _draw_targets(tokens, fitness, count, uniform)
-            for i in targets:
-                impact[i] += 1
-                weight += fitness[i]
-            tokens.extend(targets)
+            mark = len(tokens)
+            _draw_targets(tokens, fitness, count, uniform, append)
             if log is not None:
-                log.extend((n, i, c) for i, c in Counter(targets).items())
+                log.extend((n, i, c) for i, c in Counter(tokens[mark:]).items())
         edges += count
         impacts += count + 1
-        fitness.append(f)
-        impact.append(1)
-        tokens.append(n)
-        weight += f
-        n += 1
+        append(n)
 
-    state.total_weight = weight
+    added = np.frombuffer(tokens[first:], dtype=np.intc)
+    state.impact.frombytes(bytes(8 * (n_stop - start_n)))  # own tokens are in `added`
+    np.add.at(np.frombuffer(state.impact, dtype=np.int64), added, 1)
+    terms = np.empty(added.size + 1)  # W, then the appended tokens' fitnesses
+    terms[0] = state.total_weight
+    np.frombuffer(fitness).take(added, out=terms[1:])
+    state.total_weight = float(np.cumsum(terms, out=terms)[-1])
     state.edge_count = edges
     state.total_impact = impacts

@@ -14,11 +14,51 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pafit import measures as M
+from pafit import quantile_replay
 
 
 def mp_quad(fn, lo=0.0, hi=1.0):
     """Independent oracle: tanh-sinh quadrature handles endpoint singularities."""
     return float(mpmath.quad(fn, [lo, hi]))
+
+
+def frozen_reference(dist):
+    """The inverse-CDF bisection before its per-piece masses and
+    antiderivatives were hoisted out of the passes, kept verbatim as the
+    reference: returns its ``(reference_cdf, reference_quantile)``."""
+    from numpy.polynomial import polynomial as npoly
+
+    def reference_cdf(x):
+        edges = np.asarray(dist.edges)
+        piece_mass = np.array(
+            [
+                M._poly_segment_integral(piece, a, b)
+                for (a, b), piece in zip(zip(dist.edges, dist.edges[1:]), dist.coeffs)
+            ]
+        )
+        cum = np.concatenate([[0.0], np.cumsum(piece_mass)])
+        idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(dist.coeffs) - 1)
+        out = np.empty_like(x)
+        for j, piece in enumerate(dist.coeffs):
+            mask = idx == j
+            if np.any(mask):
+                anti = npoly.polyint(list(piece))
+                out[mask] = cum[j] + npoly.polyval(np.clip(x[mask], dist.edges[j], dist.edges[j + 1]), anti) - npoly.polyval(dist.edges[j], anti)
+        out[x <= edges[0]] = 0.0
+        out[x >= edges[-1]] = cum[-1]
+        return out
+
+    def reference_quantile(targets):
+        lo = np.full_like(targets, dist.edges[0])
+        hi = np.full_like(targets, dist.edges[-1])
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            below = reference_cdf(mid) < targets
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+        return hi
+
+    return reference_cdf, reference_quantile
 
 
 # ---------------------------------------------------------------------------
@@ -126,39 +166,7 @@ class TestSampling:
         ids=["cubic_gap", "three_pieces_atom", "flat_atom"],
     )
     def test_piecewise_quantile_equals_frozen_reference(self, dist, rng):
-        # the bisection before its per-piece masses and antiderivatives were
-        # hoisted out of the passes, kept verbatim as the reference
-        from numpy.polynomial import polynomial as npoly
-
-        def reference_cdf(x):
-            edges = np.asarray(dist.edges)
-            piece_mass = np.array(
-                [
-                    M._poly_segment_integral(piece, a, b)
-                    for (a, b), piece in zip(zip(dist.edges, dist.edges[1:]), dist.coeffs)
-                ]
-            )
-            cum = np.concatenate([[0.0], np.cumsum(piece_mass)])
-            idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(dist.coeffs) - 1)
-            out = np.empty_like(x)
-            for j, piece in enumerate(dist.coeffs):
-                mask = idx == j
-                if np.any(mask):
-                    anti = npoly.polyint(list(piece))
-                    out[mask] = cum[j] + npoly.polyval(np.clip(x[mask], dist.edges[j], dist.edges[j + 1]), anti) - npoly.polyval(dist.edges[j], anti)
-            out[x <= edges[0]] = 0.0
-            out[x >= edges[-1]] = cum[-1]
-            return out
-
-        def reference_quantile(targets):
-            lo = np.full_like(targets, dist.edges[0])
-            hi = np.full_like(targets, dist.edges[-1])
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                below = reference_cdf(mid) < targets
-                lo = np.where(below, mid, lo)
-                hi = np.where(below, hi, mid)
-            return hi
+        reference_cdf, reference_quantile = frozen_reference(dist)
 
         edge_masses = reference_cdf(np.asarray(dist.edges))
         body = 1.0 - dist.atom_at_one
@@ -170,6 +178,78 @@ class TestSampling:
         expected = np.ones_like(u)
         expected[u < body] = reference_quantile(inside)
         assert np.array_equal(M.quantile(dist, u), np.maximum(expected, np.nextafter(0.0, 1.0)))
+
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(law=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_piecewise_quantile_replays_reference_bisection(self, law, seed):
+        # laws of 1-3 pieces with nonnegative coefficients of degree <= 4, on
+        # dyadic domains (the exact jump applies) and others (it does not)
+        pieces = law.draw(st.integers(1, 3), label="pieces")
+        if law.draw(st.booleans(), label="dyadic"):
+            inner = law.draw(
+                st.lists(st.sampled_from([0.125, 0.3, 0.5, 0.7, 0.875]),
+                         min_size=pieces - 1, max_size=pieces - 1, unique=True),
+                label="inner",
+            )
+            edges = [0.0, *sorted(inner), 1.0]
+        else:
+            lo = law.draw(st.sampled_from([0.05, 0.1, 0.3]), label="lo")
+            hi = law.draw(st.sampled_from([0.7, 0.9, 0.95]), label="hi")
+            edges = np.linspace(lo, hi, pieces + 1).tolist()
+        coeff = st.floats(0.0, 5.0, allow_subnormal=False)
+        raw = [
+            [law.draw(st.floats(0.1, 5.0), label="c0")]
+            + law.draw(st.lists(coeff, max_size=4), label="higher")
+            for _ in range(len(edges) - 1)
+        ]
+        atom = law.draw(st.sampled_from([0.0, 0.25, 0.4]), label="atom")
+        mass = sum(M._poly_segment_integral(c, a, b) for a, b, c in zip(edges, edges[1:], raw))
+        scale = (1.0 - atom) / mass
+        dist = M.PiecewiseDensity(edges, [[c * scale for c in piece] for piece in raw], atom)
+        self._assert_replays_reference(dist, seed)
+
+    def test_piecewise_quantile_replays_reference_on_dipping_density(self):
+        # 12 (f - 1/2)^2 - 9e-10 dips below zero, as validation allows: the
+        # exact CDF falls near 1/2, so the jump's certificate must cover it
+        dip = 9e-10
+        dist = M.PiecewiseDensity((0.0, 1.0), ((3.0 - dip, -12.0, 12.0),), atom_at_one=dip)
+        assert min(M._polyval(dist.coeffs[0], np.linspace(0.0, 1.0, 1001))) < 0.0
+        self._assert_replays_reference(dist, seed=7, draws=20_000)
+
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            M.PiecewiseDensity((0.0, 1.0), ((3.0, -6.0, 3.0),)),
+            M.PiecewiseDensity((0.0, 0.3, 0.7, 1.0), ((1.0,), (0.5,), (0.5, 0.5)),
+                               atom_at_one=0.2225),
+            # half the mass on a piece 2^-20 wide: its pdf asks for levels
+            # beyond the exact ones
+            M.PiecewiseDensity((0.0, 0.5, 0.5 + 2.0**-20, 1.0),
+                               ((0.5,), (2.0**19,), (0.25 / (0.5 - 2.0**-20),))),
+        ],
+        ids=["cubic_gap", "three_pieces_atom", "spike"],
+    )
+    def test_certificate_alone_keeps_the_deepest_jumps_exact(self, dist, monkeypatch):
+        # a span of 2^-30 margins sends every draw to the deepest exact
+        # level, where brackets are a few ulps wide and the computed CDF is
+        # not monotone: only the certificate keeps the replay exact there
+        monkeypatch.setattr(quantile_replay, "JUMP_SPAN", 2.0**-30)
+        self._assert_replays_reference(dist, seed=11, draws=20_000)
+
+    @staticmethod
+    def _assert_replays_reference(dist, seed, draws=2_000):
+        reference_cdf, reference_quantile = frozen_reference(dist)
+        body = 1.0 - dist.atom_at_one
+        edge_masses = reference_cdf(np.asarray(dist.edges, dtype=float))
+        rng = np.random.default_rng(seed)
+        u = np.concatenate([
+            rng.random(draws) * body,
+            edge_masses, np.nextafter(edge_masses, 0.0), np.nextafter(edge_masses, 1.0),
+            [0.0, np.nextafter(body, 0.0)],
+        ])
+        u = u[(u >= 0.0) & (u < body)]
+        assert np.array_equal(M._piecewise_quantile(dist, u), reference_quantile(u))
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ class TestNewGraph:
     def test_initial_state(self, uniform):
         state = S.new_graph(uniform, 3.0, S.PoissonOutdegree(), seed=42)
         assert state.n == 1
-        assert state.impact == [1]
+        assert list(state.impact) == [1]
         assert state.total_impact == 1
         assert state.edge_count == 0
 
@@ -56,7 +56,7 @@ class TestStep:
     def test_single_old_vertex_gets_the_edge(self, two_point):
         state = S.new_graph(two_point, 1.0, S.FixedOutdegree(), seed=5)
         S.step(state)
-        assert state.impact == [2, 1]
+        assert list(state.impact) == [2, 1]
         assert state.edge_count == 1
 
     def test_fixed_outdegree_impact_increment(self, two_point):
@@ -180,7 +180,7 @@ class TestTokenUrn:
         # pooled Poisson counts are independent; the fixed total costs one df
         dof = state.n if isinstance(model, S.PoissonOutdegree) else state.n - 1
         assert stats.chi2.sf(chi2, dof) > 1e-3
-        assert state.impact == self.IMPACT  # the draws left the state frozen
+        assert list(state.impact) == self.IMPACT  # the draws left the state frozen
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -206,6 +206,56 @@ class TestTokenUrn:
         assert len(state.tokens) == state.total_impact
         exact = math.fsum(f * z for f, z in zip(state.fitness, state.impact))
         assert state.total_weight == pytest.approx(exact, rel=1e-12)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lam=st.sampled_from([1.0, 2.0, 3.0]),
+        poisson=st.booleans(),
+        density=st.booleans(),
+        n=st.integers(1, 300),
+        cuts=st.lists(st.integers(1, 300), max_size=6),
+        tail=st.integers(0, 12),
+    )
+    def test_growth_is_independent_of_segmentation(
+        self, seed, lam, poisson, density, n, cuts, tail
+    ):
+        # checkpoints and single steps only cut the same chain into pieces:
+        # the bookkeeping batched per piece must not depend on where
+        dist = (
+            M.PiecewiseDensity((0.0, 1.0), ((3.0, -6.0, 3.0),))
+            if density
+            else M.FiniteDiscrete([(0.5, 0.5), (1.0, 0.5)])
+        )
+        model = S.PoissonOutdegree() if poisson else S.FixedOutdegree()
+        cut = S.new_graph(dist, lam, model, seed=seed, edge_log=True)
+        S.run(cut, n, schedule=sorted({c for c in cuts if c <= n}), bins=5, k_max=3)
+        for _ in range(tail):
+            S.step(cut)
+        whole = S.new_graph(dist, lam, model, seed=seed, edge_log=True)
+        S.run(whole, n + tail, schedule=[n + tail], bins=5, k_max=3)
+        assert cut.tokens == whole.tokens
+        assert cut.fitness == whole.fitness
+        assert cut.impact == whole.impact
+        assert cut.edge_log == whole.edge_log
+        assert cut.total_weight.hex() == whole.total_weight.hex()
+        assert (cut.total_impact, cut.edge_count) == (whole.total_impact, whole.edge_count)
+
+    @pytest.mark.parametrize("model", [S.PoissonOutdegree(), S.FixedOutdegree()])
+    def test_draw_increments_leaves_a_grown_state_frozen(self, cubic_gap, model):
+        state = S.new_graph(cubic_gap, 2.0, model, seed=59, edge_log=True)
+        S.run(state, 500, bins=5, k_max=3)
+        before = (
+            list(state.tokens), list(state.fitness), list(state.impact),
+            state.total_weight, state.total_impact, state.edge_count, list(state.edge_log),
+        )
+        drawn = sum(sum(model.draw_increments(state, state.streams).values()) for _ in range(50))
+        assert drawn > 0
+        after = (
+            list(state.tokens), list(state.fitness), list(state.impact),
+            state.total_weight, state.total_impact, state.edge_count, list(state.edge_log),
+        )
+        assert after == before
 
     def test_audit_counts_tokens(self, two_point):
         state = S.new_graph(two_point, 2.0, S.PoissonOutdegree(), seed=43)
