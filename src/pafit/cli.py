@@ -302,11 +302,18 @@ def cmd_compare(config: ExperimentConfig, *, out_dir: Path | None = None) -> dic
             )
         if payload["fitness"] != config.fitness:
             raise MeasureError(f"fitness distribution mismatch against {side} files")
-    # the model sets the total-mass band; seed and replica count may differ
-    # legitimately (``simulate --seed/--replicas``)
-    if sim["model"] != config.model:
+    # the model sets the total-mass band and the rest the tables' shape; seed
+    # and replica count may differ legitimately (``simulate --seed/--replicas``)
+    for key in ("model", "n_target", "bins", "max_tracked_impact"):
+        if sim[key] != getattr(config, key):
+            raise MeasureError(
+                f"{key} mismatch: simulation files have {sim[key]}, "
+                f"config has {getattr(config, key)}"
+            )
+    if len(theory["pk"]) != config.max_tracked_impact:
         raise MeasureError(
-            f"model mismatch: simulation files have {sim['model']}, config has {config.model}"
+            f"max_tracked_impact mismatch: theory files have {len(theory['pk'])}, "
+            f"config has {config.max_tracked_impact}"
         )
 
     tables = {name: _read_csv(sim_dir / f"{name}.csv") for name in SIM_TABLES}

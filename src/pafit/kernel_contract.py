@@ -13,14 +13,15 @@ An attachment model is admissible when its one-step edge increments
 
 Verification is statistical, not formal: a frozen state is resampled
 through the model's transition, which is exactly the conditional law the
-conditions constrain. A1 uses two-sided z-tests at significance 1e-3 with
-Bonferroni correction; A3/A5 use one-sided 3-standard-error covariance
-bounds; A2 and A4 are asymptotic statements and are tested as trends
-across a grid of sizes n (A2 via a log-log slope of the variance ratio,
-A4 via exact binomial bounds with trial counts scaled proportionally to n
-so that a genuinely non-vanishing n * P keeps a constant expected hit
-count). No finite-n test can verify a limit; the trend thresholds below
-are engineering choices.
+conditions constrain; :func:`sample_counts` is the only code that does
+so. A1, A2, A3 and A5 are statistics over one sample per size. A1 uses
+two-sided z-tests at significance 1e-3 with Bonferroni correction; A3/A5
+use one-sided 3-standard-error covariance bounds; A2 and A4 are
+asymptotic statements and are tested as trends across a grid of sizes n
+(A2 via a log-log slope of the variance ratio, A4 via exact binomial
+bounds with trial counts scaled proportionally to n so that a genuinely
+non-vanishing n * P keeps a constant expected hit count). No finite-n
+test can verify a limit; the thresholds below are engineering choices.
 """
 
 from __future__ import annotations
@@ -49,6 +50,12 @@ A4_FAIL_FLOOR = 0.05           # n * P(dZ>=2) lower confidence bound above this 
 A4_PASS_CEILING = 0.75         # n * P(dZ>=2) upper confidence bound must stay below
 A4_CONFIDENCE = 0.999
 A4_ENVELOPE_SDS = 4.0          # A4' statistic allowed this many SDs of sampling noise
+A4_K_VALUES = (1, 2, 3)        # impact levels whose highest-fitness vertex A4 resamples
+A4_TRIALS_PER_N = 50           # A4 trials per vertex of the state, at least 5000 ...
+A4_MAX_TRIALS = 600_000        # ... and at most this
+A1_SIGNIFICANCE = 1e-3         # family-wise, Bonferroni over the tracked vertices
+A2_MIN_HITS = 30               # nonzero draws a vertex needs to enter A2
+A5_LEVELS = (0, 1, 2)          # k, l of the quadrant events {dZ <= k}
 
 
 @dataclass(frozen=True)
@@ -93,28 +100,26 @@ def _expected_increment(state: GraphState, i: int) -> float:
     return state.lam * w / state.total_weight
 
 
-def select_test_vertices(state: GraphState, count: int = 6) -> list[int]:
-    """Top-weight vertices plus weight-quantile picks (deduplicated)."""
+def select_test_vertices(state: GraphState) -> list[int]:
+    """Top-weight vertices plus weight-quantile picks (deduplicated, at most 6)."""
     weights = np.asarray(state.fitness) * np.asarray(state.impact, dtype=float)
     order = np.argsort(weights)[::-1]
-    picks: list[int] = [int(i) for i in order[: min(3, len(order))]]
-    for q in (0.5, 0.25, 0.75):
-        picks.append(int(order[int(q * (len(order) - 1))]))
-    seen: list[int] = []
-    for i in picks:
-        if i not in seen:
-            seen.append(i)
-    return seen[:count]
+    picks = [int(i) for i in order[:3]]
+    picks += [int(order[int(q * (len(order) - 1))]) for q in (0.5, 0.25, 0.75)]
+    return list(dict.fromkeys(picks))
 
 
-def _collect_counts(
+def sample_counts(
     model: AttachmentModel,
     state: GraphState,
     streams: ReplicaStreams,
     trials: int,
     tracked: Sequence[int],
 ) -> np.ndarray:
-    """Resample the frozen one-step transition; counts for tracked vertices."""
+    """Resample the frozen one-step transition ``trials`` times.
+
+    Row t holds the increments of the ``tracked`` vertices in draw t.
+    """
     slot = {v: j for j, v in enumerate(tracked)}
     out = np.zeros((trials, len(tracked)), dtype=np.int32)
     for t in range(trials):
@@ -125,24 +130,10 @@ def _collect_counts(
     return out
 
 
-def check_A1(
-    model: AttachmentModel,
-    state: GraphState,
-    trials: int = 10_000,
-    *,
-    streams: ReplicaStreams | None = None,
-    significance: float = 1e-3,
-    counts: np.ndarray | None = None,
-    tracked: Sequence[int] | None = None,
-) -> CheckResult:
+def check_A1(state: GraphState, counts: np.ndarray, tracked: Sequence[int]) -> CheckResult:
     """Two-sided z-test of the empirical increment mean against the formula."""
-    if tracked is None:
-        tracked = select_test_vertices(state)
-    if counts is None:
-        streams = streams or ReplicaStreams(0, replica=1_000_000)
-        counts = _collect_counts(model, state, streams, trials, tracked)
     trials = counts.shape[0]
-    threshold = float(stats.norm.ppf(1.0 - significance / (2 * len(tracked))))
+    threshold = float(stats.norm.ppf(1.0 - A1_SIGNIFICANCE / (2 * len(tracked))))
     rows = []
     skipped = []
     worst = 0.0
@@ -156,7 +147,7 @@ def check_A1(
             if mean == target:
                 z = 0.0
             elif mean == 0.0 and target * trials <= math.log(
-                2 * len(tracked) / significance
+                2 * len(tracked) / A1_SIGNIFICANCE
             ):
                 # all-zero sample, but P(no hits) >= e^{-target * trials} is
                 # above the significance level (Markov): underpowered, skip
@@ -185,32 +176,18 @@ def check_A1(
     )
 
 
-def check_A2(
-    model: AttachmentModel,
-    state: GraphState,
-    trials: int = 10_000,
-    *,
-    streams: ReplicaStreams | None = None,
-    counts: np.ndarray | None = None,
-    tracked: Sequence[int] | None = None,
-    min_hits: int = 30,
-) -> CheckResult:
+def check_A2(state: GraphState, counts: np.ndarray, tracked: Sequence[int]) -> CheckResult:
     """Estimate max Var/mean over tested vertices at one state.
 
     A constant bound cannot be refuted at a single n, so the verdict here is
     pass/inconclusive; systematic growth is judged across states by
     :func:`variance_ratio_trend`.
     """
-    if tracked is None:
-        tracked = select_test_vertices(state)
-    if counts is None:
-        streams = streams or ReplicaStreams(0, replica=1_000_001)
-        counts = _collect_counts(model, state, streams, trials, tracked)
     ratios = []
     for j, v in enumerate(tracked):
         sample = counts[:, j]
         mean = float(sample.mean())
-        if mean == 0.0 or int(np.count_nonzero(sample)) < min_hits:
+        if int(np.count_nonzero(sample)) < A2_MIN_HITS:
             continue
         ratios.append({"vertex": v, "mean": mean, "ratio": float(sample.var(ddof=1) / mean)})
     if not ratios:
@@ -246,26 +223,15 @@ def _cov_with_se(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 
 
 def check_A3_A5(
-    model: AttachmentModel,
-    state: GraphState,
-    trials: int = 10_000,
-    *,
-    streams: ReplicaStreams | None = None,
-    counts: np.ndarray | None = None,
-    tracked: Sequence[int] | None = None,
-    levels: Sequence[int] = (0, 1, 2),
+    state: GraphState, counts: np.ndarray, tracked: Sequence[int]
 ) -> tuple[CheckResult, CheckResult]:
     """One-sided covariance bounds on sampled pairs.
 
     A3: Cov(dZ(i), dZ(j)) <= 0 within 3 SE.
-    A5: Cov(1{dZ(i)<=k}, 1{dZ(j)<=l}) <= 0 within 3 SE for k, l in ``levels``
-    (negative quadrant dependence written through indicator covariances).
+    A5: Cov(1{dZ(i)<=k}, 1{dZ(j)<=l}) <= 0 within 3 SE for k, l in
+    ``A5_LEVELS`` (negative quadrant dependence written through indicator
+    covariances).
     """
-    if tracked is None:
-        tracked = select_test_vertices(state)
-    if counts is None:
-        streams = streams or ReplicaStreams(0, replica=1_000_002)
-        counts = _collect_counts(model, state, streams, trials, tracked)
     pairs = [(a, b) for idx, a in enumerate(tracked[:3]) for b in tracked[idx + 1 : 3]]
     if len(tracked) > 3:
         pairs.append((tracked[0], tracked[3]))
@@ -280,8 +246,8 @@ def check_A3_A5(
         a3_rows.append({"pair": (a, b), "cov": cov, "se": se})
         if cov > 3.0 * se:
             a3_verdict = FAIL
-        for k in levels:
-            for l in levels:
+        for k in A5_LEVELS:
+            for l in A5_LEVELS:
                 icov, ise = _cov_with_se((x <= k).astype(float), (y <= l).astype(float))
                 a5_rows.append({"pair": (a, b), "k": k, "l": l, "cov": icov, "se": ise})
                 if icov > 3.0 * ise:
@@ -300,13 +266,7 @@ def _binom_bounds(hits: int, trials: int, confidence: float) -> tuple[float, flo
 
 
 def check_A4(
-    model: AttachmentModel,
-    states: Sequence[GraphState],
-    k_values: Sequence[int] = (1, 2, 3),
-    *,
-    trials_per_n: int = 50,
-    streams: ReplicaStreams | None = None,
-    max_trials: int = 600_000,
+    model: AttachmentModel, states: Sequence[GraphState], streams: ReplicaStreams
 ) -> CheckResult:
     """Trend test of n * P(dZ >= 2) and n * |P(dZ = 1) - E[dZ]| over sizes.
 
@@ -316,21 +276,20 @@ def check_A4(
     (fail). The A4' statistic is compared against its sampling-noise
     envelope.
     """
-    streams = streams or ReplicaStreams(0, replica=1_000_003)
     rows = []
     for state in states:
         n = state.n
-        trials = int(min(max(trials_per_n * n, 5_000), max_trials))
+        trials = int(min(max(A4_TRIALS_PER_N * n, 5_000), A4_MAX_TRIALS))
         impact = np.asarray(state.impact)
         fitness = np.asarray(state.fitness)
         tracked = []
-        for k in k_values:
+        for k in A4_K_VALUES:
             candidates = np.nonzero(impact == k)[0]
             if len(candidates):
                 tracked.append(int(candidates[np.argmax(fitness[candidates])]))
         if not tracked:
             continue
-        counts = _collect_counts(model, state, streams, trials, tracked)
+        counts = sample_counts(model, state, streams, trials, tracked)
         for j, v in enumerate(tracked):
             sample = counts[:, j]
             hits2 = int((sample >= 2).sum())
@@ -385,14 +344,15 @@ def run_contract_suite(
     *,
     ns: Sequence[int] = (100, 1_000, 10_000),
     trials: int = 10_000,
-    trials_per_n: int = 50,
     base_seed: int = 0,
 ) -> ContractReport:
     """Grow one trajectory of the model and check A1-A5 at each size in ns.
 
-    The checks resample the frozen transition with probe streams derived
-    from ``base_seed``; reports are deterministic given (model, dist,
-    lambda, ns, trials, base_seed).
+    At each size one sample of ``trials`` resampled transitions feeds A1,
+    A2, A3 and A5; A4 then resamples every frozen size. All draws come, in
+    that order, from one probe stream derived from ``base_seed``, so
+    reports are deterministic given (model, dist, lambda, ns, trials,
+    base_seed).
     """
     ns = sorted(set(int(n) for n in ns))
     state = new_graph(dist, lam, model, seed=base_seed, replica=0)
@@ -412,11 +372,11 @@ def run_contract_suite(
     for n in ns:
         run(state, n, schedule=[n], bins=10, k_max=5)
         tracked = select_test_vertices(state)
-        counts = _collect_counts(model, state, probe, trials, tracked)
+        counts = sample_counts(model, state, probe, trials, tracked)
 
-        a1 = check_A1(model, state, counts=counts, tracked=tracked)
-        a2 = check_A2(model, state, counts=counts, tracked=tracked)
-        a3, a5 = check_A3_A5(model, state, counts=counts, tracked=tracked)
+        a1 = check_A1(state, counts, tracked)
+        a2 = check_A2(state, counts, tracked)
+        a3, a5 = check_A3_A5(state, counts, tracked)
         checks.extend([a1, a2, a3, a5])
         worst_z = max(worst_z, a1.stats["worst_z"])
         if a2.verdict == PASS:
@@ -429,7 +389,7 @@ def run_contract_suite(
 
     a2_trend = variance_ratio_trend(ratio_points)
     checks.append(a2_trend)
-    a4 = check_A4(model, frozen_states, streams=probe, trials_per_n=trials_per_n)
+    a4 = check_A4(model, frozen_states, probe)
     checks.append(a4)
 
     label = getattr(model, "label", type(model).__name__)

@@ -21,13 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measures
-from .measures import (
-    DEFAULT_TOL,
-    FitnessDistribution,
-    Integrand,
-    MeasureError,
-    integrate,
-)
+from .measures import FitnessDistribution, Integrand, MeasureError, integrate
+
+# bisection steps of solve_theta_star; its bracket reaches 1e-15 * theta within ~90
+MAX_BISECTIONS = 200
 
 
 class Phase(enum.Enum):
@@ -43,22 +40,16 @@ def _gap_integral(dist: FitnessDistribution, theta: float, tol: float) -> float:
     return integrate(dist, measures.f_over_theta_minus_f(theta), tol=tol)
 
 
-def classify_phase(dist: FitnessDistribution, lam: float, *, tol: float = DEFAULT_TOL) -> Phase:
+def classify_phase(dist: FitnessDistribution, lam: float) -> Phase:
     """Fit-get-richer iff int f/(1-f) dmu >= lambda (divergence counts)."""
     measures.require_normalized(dist)
     if lam <= 0.0:
         raise MeasureError("lambda must be positive")
-    boundary = integrate(dist, measures.f_over_one_minus_f(), tol=tol)
+    boundary = integrate(dist, measures.f_over_one_minus_f())
     return Phase.FIT_GET_RICHER if boundary >= lam else Phase.BOSE_EINSTEIN
 
 
-def solve_theta_star(
-    dist: FitnessDistribution,
-    lam: float,
-    *,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-) -> float:
+def solve_theta_star(dist: FitnessDistribution, lam: float, *, tol: float = 1e-10) -> float:
     """Solve int f/(theta - f) dmu = lambda on (1, inf); 1 in the condensation phase.
 
     The integral is continuous and strictly decreasing in theta, so a
@@ -83,7 +74,7 @@ def solve_theta_star(
             raise SolverError(f"no upper bracket below theta = {hi}")
     lo = 1.0
     mid = hi
-    for _ in range(max_iter):
+    for _ in range(MAX_BISECTIONS):
         mid = 0.5 * (lo + hi)
         value = _gap_integral(dist, mid, quad_tol)
         if abs(value - lam) <= tol:
@@ -95,14 +86,12 @@ def solve_theta_star(
         if hi - lo <= 1e-15 * hi:
             return mid
     raise SolverError(
-        f"bisection stalled after {max_iter} iterations; bracket [{lo}, {hi}], "
+        f"bisection stalled after {MAX_BISECTIONS} iterations; bracket [{lo}, {hi}], "
         f"residual {_gap_integral(dist, mid, quad_tol) - lam}"
     )
 
 
-def map_T(
-    dist: FitnessDistribution, lam: float, theta: float, *, tol: float = DEFAULT_TOL
-) -> float:
+def map_T(dist: FitnessDistribution, lam: float, theta: float) -> float:
     """Bootstrap map T(theta) = 1 + (theta-1)/lambda * int f/(theta-f) dmu.
 
     Iterating an a-priori bound on the normalisation through T contracts it
@@ -115,7 +104,7 @@ def map_T(
         raise MeasureError("theta must be >= 1")
     if theta == 1.0:
         return 1.0
-    return 1.0 + (theta - 1.0) / lam * _gap_integral(dist, theta, tol)
+    return 1.0 + (theta - 1.0) / lam * integrate(dist, measures.f_over_theta_minus_f(theta))
 
 
 @dataclass(frozen=True)
@@ -135,25 +124,21 @@ class LimitMeasure:
         """Density factor with respect to mu, evaluated below 1."""
         return self.factor(f)
 
-    def mass(self, lo: float, hi: float, *, tol: float = DEFAULT_TOL) -> float:
+    def mass(self, lo: float, hi: float) -> float:
         """Measure of the window (lo, hi]; includes the atom when hi >= 1."""
         if lo >= hi:
             return 0.0
         below = integrate(
-            self.base,
-            self.factor.restrict(lo, min(hi, 1.0)).without_point_one(),
-            tol=tol,
+            self.base, self.factor.restrict(lo, min(hi, 1.0)).without_point_one()
         )
         return below + (self.atom_at_one if hi >= 1.0 else 0.0)
 
-    def total_mass(self, *, tol: float = DEFAULT_TOL) -> float:
-        return self.mass(0.0, 1.0, tol=tol)
+    def total_mass(self) -> float:
+        return self.mass(0.0, 1.0)
 
-    def bin_masses(self, edges, *, tol: float = DEFAULT_TOL) -> np.ndarray:
+    def bin_masses(self, edges) -> np.ndarray:
         edges = np.asarray(edges, dtype=float)
-        return np.array(
-            [self.mass(a, b, tol=tol) for a, b in zip(edges[:-1], edges[1:])]
-        )
+        return np.array([self.mass(a, b) for a, b in zip(edges[:-1], edges[1:])])
 
 
 def limit_gamma(
@@ -161,7 +146,6 @@ def limit_gamma(
     lam: float,
     *,
     theta_star: float | None = None,
-    tol: float = DEFAULT_TOL,
 ) -> LimitMeasure:
     """Limit of the impact-weighted fitness law; total mass 1 + lambda.
 
@@ -169,36 +153,22 @@ def limit_gamma(
     mu at 1 is scaled along). Condensation: density factor 1/(1 - f) below 1
     plus the condensate atom 1 + lambda - int_{[0,1)} 1/(1-f) dmu at 1.
     """
-    phase = classify_phase(dist, lam, tol=tol)
+    phase = classify_phase(dist, lam)
     if theta_star is None:
         theta_star = solve_theta_star(dist, lam)
     if phase is Phase.FIT_GET_RICHER and theta_star > 1.0:
         factor = measures.theta_over_theta_minus_f(theta_star)
-        atom = dist.mass_at_one * theta_star / (theta_star - 1.0) if dist.mass_at_one else 0.0
+        atom = dist.atom_at_one * theta_star / (theta_star - 1.0) if dist.atom_at_one else 0.0
         return LimitMeasure(dist, factor, atom)
     factor = measures.one_over_one_minus_f()
     if phase is Phase.FIT_GET_RICHER:
         # boundary case: both phase formulas coincide and the atom vanishes
         return LimitMeasure(dist, factor, 0.0)
-    atom = 1.0 + lam - integrate(dist, factor.without_point_one(), tol=tol)
+    atom = 1.0 + lam - integrate(dist, factor.without_point_one())
     return LimitMeasure(dist, factor, max(atom, 0.0))
 
 
-def condensate_mass(dist: FitnessDistribution, lam: float, *, tol: float = DEFAULT_TOL) -> float:
-    """Mass of the atom at 1 in the condensation phase; 0 otherwise."""
-    if classify_phase(dist, lam, tol=tol) is Phase.FIT_GET_RICHER:
-        return 0.0
-    below = integrate(dist, measures.one_over_one_minus_f().without_point_one(), tol=tol)
-    return 1.0 + lam - below
-
-
-def limit_gamma_k(
-    dist: FitnessDistribution,
-    theta_star: float,
-    k: int,
-    *,
-    tol: float = DEFAULT_TOL,
-) -> LimitMeasure:
+def limit_gamma_k(dist: FitnessDistribution, theta_star: float, k: int) -> LimitMeasure:
     """Limit law of (fitness, impact == k): Yule-Simon pmf at k against mu.
 
     ``theta_star`` is an explicit input rather than recomputed: for custom
@@ -210,59 +180,47 @@ def limit_gamma_k(
     if theta_star < 1.0:
         raise MeasureError("theta_star must be >= 1")
     factor = measures.impact_factor(theta_star, k)
-    atom = dist.mass_at_one * float(factor(1.0)) if dist.mass_at_one else 0.0
+    atom = dist.atom_at_one * float(factor(1.0)) if dist.atom_at_one else 0.0
     return LimitMeasure(dist, factor, atom)
 
 
-def limit_pk(
-    dist: FitnessDistribution, theta_star: float, k: int, *, tol: float = DEFAULT_TOL
-) -> float:
+def limit_pk(dist: FitnessDistribution, theta_star: float, k: int) -> float:
     """Limiting fraction of vertices with impact k."""
-    return limit_gamma_k(dist, theta_star, k, tol=tol).total_mass(tol=tol)
+    return limit_gamma_k(dist, theta_star, k).total_mass()
 
 
 def pk_sum_with_tail(
-    dist: FitnessDistribution,
-    theta_star: float,
-    k_max: int,
-    *,
-    tol: float = DEFAULT_TOL,
+    dist: FitnessDistribution, theta_star: float, k_max: int
 ) -> tuple[float, float]:
     """(sum_{k<=k_max} p(k), exact remainder int P(K > k_max) dmu).
 
     The remainder uses the telescoped Yule-Simon survival function, so the
     pair always adds to 1 up to quadrature error regardless of k_max.
     """
-    partial = sum(limit_pk(dist, theta_star, k, tol=tol) for k in range(1, k_max + 1))
+    partial = sum(limit_pk(dist, theta_star, k) for k in range(1, k_max + 1))
     surv = measures.impact_survival(theta_star, k_max + 1)
-    atom = dist.mass_at_one * float(surv(1.0)) if dist.mass_at_one else 0.0
-    tail = integrate(dist, surv.without_point_one(), tol=tol) + atom
+    atom = dist.atom_at_one * float(surv(1.0)) if dist.atom_at_one else 0.0
+    tail = integrate(dist, surv.without_point_one()) + atom
     return partial, tail
 
 
 def impact_mean_sum_with_tail(
-    dist: FitnessDistribution,
-    theta_star: float,
-    k_max: int,
-    *,
-    tol: float = DEFAULT_TOL,
+    dist: FitnessDistribution, theta_star: float, k_max: int
 ) -> tuple[float, float]:
     """(sum_{k<=k_max} k p(k), exact remainder sum_{k>k_max} k p(k)).
 
     In the condensation phase the remainder integrand grows like 1/(1-f)
     towards 1; it stays mu-integrable exactly when the phase integral does.
     """
-    partial = sum(
-        k * limit_pk(dist, theta_star, k, tol=tol) for k in range(1, k_max + 1)
-    )
+    partial = sum(k * limit_pk(dist, theta_star, k) for k in range(1, k_max + 1))
     tail_g = measures.impact_mean_tail(theta_star, k_max + 1)
     atom = 0.0
-    if dist.mass_at_one:
+    if dist.atom_at_one:
         value = float(tail_g(1.0))
         if math.isinf(value):
             return partial, math.inf
-        atom = dist.mass_at_one * value
-    tail = integrate(dist, tail_g.without_point_one(), tol=tol) + atom
+        atom = dist.atom_at_one * value
+    tail = integrate(dist, tail_g.without_point_one()) + atom
     return partial, tail
 
 
@@ -284,9 +242,9 @@ class LimitSummary:
         return limit_pk(self.dist, self.theta_star, k)
 
 
-def summarize(dist: FitnessDistribution, lam: float, *, tol: float = 1e-10) -> LimitSummary:
+def summarize(dist: FitnessDistribution, lam: float) -> LimitSummary:
     phase = classify_phase(dist, lam)
-    theta_star = solve_theta_star(dist, lam, tol=tol)
+    theta_star = solve_theta_star(dist, lam)
     gamma = limit_gamma(dist, lam, theta_star=theta_star)
     condensate = gamma.atom_at_one if phase is Phase.BOSE_EINSTEIN else 0.0
     return LimitSummary(dist, lam, phase, theta_star, gamma, condensate)

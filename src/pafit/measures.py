@@ -217,12 +217,8 @@ class FiniteDiscrete:
         return self.points[-1][0]
 
     @property
-    def mass_at_one(self) -> float:
-        return sum(m for v, m in self.points if v == 1.0)
-
-    @property
     def atom_at_one(self) -> float:
-        return self.mass_at_one
+        return sum(m for v, m in self.points if v == 1.0)
 
     def values_masses(self) -> tuple[np.ndarray, np.ndarray]:
         values = np.array([v for v, _ in self.points])
@@ -277,10 +273,6 @@ class PiecewiseDensity:
                 sup = max(sup, b)
         return sup
 
-    @property
-    def mass_at_one(self) -> float:
-        return self.atom_at_one
-
     def density_at_one(self) -> float:
         """Density value at the upper edge when the support reaches 1."""
         for (a, b), piece in zip(zip(self.edges, self.edges[1:]), self.coeffs):
@@ -309,10 +301,6 @@ class BetaShape:
     def ess_sup(self) -> float:
         return 1.0
 
-    @property
-    def mass_at_one(self) -> float:
-        return self.atom_at_one
-
 
 @dataclass(frozen=True)
 class Uniform01:
@@ -324,10 +312,6 @@ class Uniform01:
 
     @property
     def atom_at_one(self) -> float:
-        return 0.0
-
-    @property
-    def mass_at_one(self) -> float:
         return 0.0
 
     def _as_piecewise(self) -> PiecewiseDensity:
@@ -413,7 +397,7 @@ def _poly_segment_integral(coeffs, a: float, b: float) -> float:
 def _diverges(dist: FitnessDistribution, g: Integrand) -> bool:
     if not g.pole_at_one or g.hi < 1.0:
         return False
-    if g.include_one and dist.mass_at_one > 0.0:
+    if g.include_one and dist.atom_at_one > 0.0:
         return True
     if isinstance(dist, FiniteDiscrete):
         return False

@@ -221,6 +221,29 @@ class TestCompare:
             with pytest.raises(MeasureError, match="model mismatch"):
                 cli.cmd_compare(other, out_dir=out)
 
+    @pytest.mark.parametrize(
+        "key, value", [("n_target", 3000), ("bins", 10), ("max_tracked_impact", 5)]
+    )
+    def test_simulation_shape_mismatch_rejected(self, complete_run, key, value):
+        """A run made under another size, binning or impact range is refused,
+        not reported on silently."""
+        config, out = complete_run
+        other = ExperimentConfig.from_dict({**config.to_dict(), key: value})
+        with pytest.raises(MeasureError, match=f"{key} mismatch: simulation files"):
+            cli.cmd_compare(other, out_dir=out)
+
+    def test_theory_impact_range_mismatch_rejected(self, complete_run):
+        """Theory written for fewer impact levels than the simulation tracks
+        is refused with exit code 2, not an IndexError (exit code 1)."""
+        config, out = complete_run
+        fewer = ExperimentConfig.from_dict({**config.to_dict(), "max_tracked_impact": 3})
+        cli.cmd_theory(fewer, out_dir=out)
+        with pytest.raises(MeasureError, match="max_tracked_impact mismatch: theory files"):
+            cli.cmd_compare(config, out_dir=out)
+        path = out / "config.json"
+        config.save(path)
+        assert cli.main(["compare", "--config", str(path), "--out", str(out)]) == 2
+
     def test_empty_run_dir_rejected(self, tmp_path):
         config = small_config(tmp_path)
         with pytest.raises(Exception, match="run `theory` first"):

@@ -160,9 +160,9 @@ class TestLimitGamma:
             assert gamma.total_mass() == pytest.approx(1.0 + lam, abs=1e-8)
 
     def test_condensate_mass_examples(self, cubic_gap, uniform):
-        assert LT.condensate_mass(cubic_gap, 1.0) == pytest.approx(0.5, abs=1e-10)
-        assert LT.condensate_mass(cubic_gap, 0.5) == 0.0
-        assert LT.condensate_mass(uniform, 7.0) == 0.0
+        assert LT.summarize(cubic_gap, 1.0).condensate_mass == pytest.approx(0.5, abs=1e-10)
+        assert LT.summarize(cubic_gap, 0.5).condensate_mass == 0.0
+        assert LT.summarize(uniform, 7.0).condensate_mass == 0.0
 
 
 class TestGammaK:

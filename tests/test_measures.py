@@ -322,6 +322,39 @@ class TestIntegrate:
                 two_point, g, method="quadrature"
             )
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(law=st.data())
+    def test_exact_equals_quadrature_on_generated_laws(self, law):
+        # normalised laws of 1-3 pieces on [0, 1] with nonnegative
+        # coefficients of degree <= 4, against positive poly and rational
+        # (theta > 1) integrands over windows at least 0.05 wide
+        inner = law.draw(
+            st.lists(st.floats(0.05, 0.95), max_size=2, unique=True), label="inner"
+        )
+        edges = [0.0, *sorted(inner), 1.0]
+        coeff = st.floats(0.0, 5.0, allow_subnormal=False)
+        raw = [
+            [law.draw(st.floats(0.1, 5.0), label="c0")]
+            + law.draw(st.lists(coeff, max_size=4), label="higher")
+            for _ in range(len(edges) - 1)
+        ]
+        mass = sum(M._poly_segment_integral(c, a, b) for a, b, c in zip(edges, edges[1:], raw))
+        dist = M.PiecewiseDensity(edges, [[c / mass for c in piece] for piece in raw])
+        numerator = tuple(
+            [law.draw(st.floats(0.1, 3.0), label="p0")]
+            + law.draw(st.lists(st.floats(0.0, 3.0), max_size=2), label="p")
+        )
+        if law.draw(st.booleans(), label="rational"):
+            theta = law.draw(st.floats(1.01, 4.0), label="theta")
+            g = M.Integrand("rational", coeffs=numerator, theta=theta)
+        else:
+            g = M.Integrand("poly", coeffs=numerator)
+        lo = law.draw(st.floats(0.0, 0.95), label="lo")
+        hi = law.draw(st.one_of(st.just(1.0), st.floats(lo + 0.05, 1.0)), label="hi")
+        g = g.restrict(lo, hi)
+        exact = M.integrate(dist, g, method="exact")
+        assert M.integrate(dist, g, method="quadrature") == pytest.approx(exact, rel=1e-9)
+
     def test_window_restriction(self, cubic_gap):
         g = M.f_over_theta_minus_f(2.0).restrict(0.25, 0.75)
         oracle = mp_quad(lambda f: f / (2 - f) * 3 * (1 - f) ** 2, 0.25, 0.75)

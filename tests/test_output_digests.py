@@ -1,11 +1,14 @@
-"""Pinned digests of the ``sim/`` output tree.
+"""Pinned digests of the ``sim/`` output tree and the ``check-kernel`` report.
 
 Hot-path rewrites of the sampler must not move one output bit. These tests
 run ``pafit simulate`` on two small configs, with one and with two workers,
 and compare a SHA-256 over the written tree with the value the code wrote
-before the inverse-CDF replay and the batched token-urn bookkeeping. A
-deliberate output change updates the pinned values and says so in
-``CHANGES.md``.
+before the inverse-CDF replay and the batched token-urn bookkeeping. The
+``check-kernel`` report of a built-in and a demo model is pinned to the
+value written before the contract checks became pure statistics over one
+sample; it moves with any of ``kernel_contract``'s constants or with the
+order of its draws. A deliberate output change updates the pinned values
+and says so in ``CHANGES.md``.
 """
 
 import hashlib
@@ -22,6 +25,10 @@ CUBIC_GAP = {"type": "density", "edges": [0.0, 1.0], "coeffs": [[3.0, -6.0, 3.0]
 PINNED = {
     "poisson_two_point": "07f3534ec48e90daf0484d4e5340a9b031bb2c8752ecb5c4793b638b7215faf8",
     "poisson_cubic_gap": "00e8722c6292c7507b39681e284d613905d9dd1198f8d91dec256564c1db146a",
+}
+PINNED_CHECK_KERNEL = {
+    "poisson": "5ca233620cf52996eeca944218c095b017737867181cd852e1670d43d1d59e5a",
+    "pairs_demo": "5567aac69729bcd04b61f947f7b878361f49221238d1de61083f635bfd1a4113",
 }
 
 
@@ -61,3 +68,25 @@ def test_sim_tree_digest_is_pinned(name, workers, tmp_path):
     config = config_for(name, tmp_path)
     cli.cmd_simulate(config, out_dir=tmp_path, threads=workers)
     assert tree_digest(tmp_path / "sim") == PINNED[name]
+
+
+@pytest.mark.parametrize("model", sorted(PINNED_CHECK_KERNEL))
+def test_check_kernel_report_digest_is_pinned(model, tmp_path):
+    config = ExperimentConfig.from_dict(
+        {
+            "schema_version": 1,
+            "model": {"type": model},
+            "lambda": 2.0,
+            "fitness": TWO_POINT,
+            "n_target": 1000,
+            "replicas": 1,
+            "base_seed": 20240810,
+            "bins": 20,
+            "max_tracked_impact": 10,
+            "epsilon": 0.1,
+            "out_dir": str(tmp_path),
+        }
+    )
+    cli.cmd_check_kernel(config, out_dir=tmp_path, ns=(100, 1000), trials=2000)
+    report = (tmp_path / "check_kernel" / "report.json").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == PINNED_CHECK_KERNEL[model]
