@@ -177,7 +177,6 @@ def cmd_simulate(
     config: ExperimentConfig,
     *,
     out_dir: Path | None = None,
-    replicas: int | None = None,
     threads: int | None = None,
 ) -> dict[int, ReplicaAggregate]:
     """Run the replicas (process pool), write per-replica and aggregate files.
@@ -186,9 +185,8 @@ def cmd_simulate(
     audit failure propagates (the CLI exits nonzero).
     """
     out = (out_dir or resolve_out_dir(config, None)) / "sim"
-    n_replicas = replicas if replicas is not None else config.replicas
-    jobs = [(config.to_dict(), r) for r in range(n_replicas)]
-    workers = min(threads or os.cpu_count() or 1, n_replicas)
+    jobs = [(config.to_dict(), r) for r in range(config.replicas)]
+    workers = min(threads or os.cpu_count() or 1, config.replicas)
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:
             results = pool.map(_replica_worker, jobs)
@@ -252,7 +250,7 @@ def cmd_simulate(
             "fitness": config.fitness,
             "model": config.model,
             "n_target": config.n_target,
-            "replicas": n_replicas,
+            "replicas": config.replicas,
             "base_seed": config.base_seed,
             "bins": config.bins,
             "max_tracked_impact": config.max_tracked_impact,
@@ -390,18 +388,19 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = ExperimentConfig.load(args.config)
-        if getattr(args, "seed", None) is not None:
-            data = config.to_dict()
-            data["base_seed"] = args.seed
-            config = ExperimentConfig.from_dict(data)
+        flags = {
+            "base_seed": getattr(args, "seed", None),
+            "replicas": getattr(args, "replicas", None),
+        }
+        overrides = {key: value for key, value in flags.items() if value is not None}
+        if overrides:
+            config = ExperimentConfig.from_dict({**config.to_dict(), **overrides})
         out = resolve_out_dir(config, args.out)
         if args.command == "theory":
             payload = cmd_theory(config, out_dir=out)
             print(f"phase={payload['phase']} theta_star={payload['theta_star']:.8f}")
         elif args.command == "simulate":
-            aggregates = cmd_simulate(
-                config, out_dir=out, replicas=args.replicas, threads=args.threads
-            )
+            aggregates = cmd_simulate(config, out_dir=out, threads=args.threads)
             final = aggregates[config.n_target]
             print(
                 f"n={final.n} replicas={final.replicas} "

@@ -33,6 +33,7 @@ from typing import Sequence
 import numpy as np
 from scipy import stats
 
+from .measures import MeasureError
 from .simulator import (
     AttachmentModel,
     CustomKernel,
@@ -352,8 +353,10 @@ def run_contract_suite(
     A2, A3 and A5; A4 then resamples every frozen size. All draws come, in
     that order, from one probe stream derived from ``base_seed``, so
     reports are deterministic given (model, dist, lambda, ns, trials,
-    base_seed).
+    base_seed). A sample SD needs ``trials >= 2``.
     """
+    if trials < 2:
+        raise MeasureError(f"the contract checks need at least 2 trials, got {trials}")
     ns = sorted(set(int(n) for n in ns))
     state = new_graph(dist, lam, model, seed=base_seed, replica=0)
     probe = ReplicaStreams(base_seed, replica=1_000_000)
@@ -433,7 +436,7 @@ def pair_emitting_kernel(lam: float) -> CustomKernel:
     def draw(view, rng):
         incs: dict[int, int] = {}
         for _ in range(rng.poisson(lam / 2.0)):
-            i = view.pick(rng.random())
+            i = view.pick(rng)
             incs[i] = incs.get(i, 0) + 2
         return incs
 
@@ -477,7 +480,7 @@ def bursty_variance_kernel(lam: float) -> CustomKernel:
         burst = max(2, int(math.isqrt(view.n)))
         incs: dict[int, int] = {}
         for _ in range(rng.poisson(lam / burst)):
-            i = view.pick(rng.random())
+            i = view.pick(rng)
             incs[i] = incs.get(i, 0) + burst
         return incs
 

@@ -17,8 +17,8 @@ Attachment models:
   realised as lambda iid categorical draws.
 * :class:`CustomKernel` -- arbitrary increment law over the frozen state.
 
-Both built-in models run on one token urn (Batagelj & Brandes, Phys. Rev. E
-71, 036113, 2005, plus a rejection step): vertex i holds ``impact[i]``
+Every state keeps one token urn (Batagelj & Brandes, Phys. Rev. E 71,
+036113, 2005, plus a rejection step): vertex i holds ``impact[i]``
 tokens, and a draw picks a uniform token and keeps its owner with
 probability F_i <= 1, so it lands on i with probability F_i Z_i / W. A
 step's draws see only the tokens present when the step began. A draw takes
@@ -28,8 +28,9 @@ loop of :func:`_grow` does nothing else per edge: two uniforms and a token
 lookup per try, one append per target. Impacts and W are updated from the
 appended tokens once per call, by numpy, in the order a running sum would
 add them; that loop costs about 1.2 µs per edge on the two-point law and
-2.5 µs on the density (2-CPU Xeon, traced ``perfbench`` runs). Custom-kernel
-states keep a :class:`PrefixSumTree` instead, for ``KernelView.pick``.
+2.5 µs on the density (2-CPU Xeon, traced ``perfbench`` runs). Custom
+kernels draw from the same urn through ``KernelView.pick``, on channel 3,
+and their increments extend it.
 
 Randomness is organised in four documented channels per replica so that a
 value's position in a stream never depends on internal batching:
@@ -59,64 +60,6 @@ _BLOCK = 8192
 
 class AuditError(RuntimeError):
     """A checkpoint bookkeeping audit failed; the run state is suspect."""
-
-
-class PrefixSumTree:
-    """Fenwick tree over nonnegative float weights; 1-based internally.
-
-    ``find`` inverts the prefix sums in O(log n) by accumulating partial
-    sums left to right (no subtraction), which keeps its float semantics
-    aligned with a naive linear scan.
-    """
-
-    __slots__ = ("size", "_tree", "total")
-
-    def __init__(self, values: Sequence[float] = ()):
-        self.size = 0
-        self._tree = [0.0]
-        self.total = 0.0
-        for value in values:
-            self.append(value)
-
-    def append(self, value: float) -> None:
-        i = self.size + 1
-        acc = value
-        span = 1
-        last = i & (-i)
-        tree = self._tree
-        while span < last:
-            acc += tree[i - span]
-            span <<= 1
-        tree.append(acc)
-        self.size = i
-        self.total += value
-
-    def add(self, index: int, delta: float) -> None:
-        """Add delta to the 0-based element ``index``."""
-        i = index + 1
-        n = self.size
-        tree = self._tree
-        while i <= n:
-            tree[i] += delta
-            i += i & (-i)
-        self.total += delta
-
-    def find(self, target: float) -> int:
-        """Smallest 0-based index whose prefix sum exceeds ``target``."""
-        pos = 0
-        acc = 0.0
-        n = self.size
-        tree = self._tree
-        bit = 1 << (n.bit_length() - 1) if n else 0
-        while bit:
-            nxt = pos + bit
-            if nxt <= n:
-                cand = acc + tree[nxt]
-                if cand <= target:
-                    acc = cand
-                    pos = nxt
-            bit >>= 1
-        return pos if pos < n else n - 1
 
 
 def _endless(refill: Callable[[], list]) -> Callable[[], object]:
@@ -179,8 +122,8 @@ class KernelView:
     impact: Sequence[int]
     total_weight: float
     fbar: float
-    # uniform -> weight-proportional vertex index; None on built-in model states
-    pick: Callable[[float], int] | None
+    # one token-urn draw from the generator: vertex i with probability F_i Z_i / W
+    pick: Callable[[np.random.Generator], int]
 
 
 class _TokenUrnModel:
@@ -235,8 +178,8 @@ AttachmentModel = PoissonOutdegree | FixedOutdegree | CustomKernel
 
 
 class GraphState:
-    """The evolving network; confined to a single worker. Built-in models
-    keep the token urn ``tokens``, custom kernels the weight index ``tree``.
+    """The evolving network; confined to a single worker. Vertex i owns
+    ``impact[i]`` entries of the token urn ``tokens``, under every model.
     ``fitness``, ``impact`` and ``tokens`` are typed arrays, so that numpy
     reads them without a copy."""
 
@@ -248,7 +191,6 @@ class GraphState:
         "fitness",
         "impact",
         "tokens",
-        "tree",
         "total_weight",
         "total_impact",
         "edge_count",
@@ -264,9 +206,7 @@ class GraphState:
         self.streams = streams
         self.fitness = array("d")  # 8 bytes a vertex
         self.impact = array("q")
-        builtin = isinstance(model, _TokenUrnModel)
-        self.tokens: array | None = array("i") if builtin else None  # 4 bytes a token
-        self.tree: PrefixSumTree | None = None if builtin else PrefixSumTree()
+        self.tokens = array("i")  # 4 bytes a token
         self.total_weight = 0.0
         self.total_impact = 0
         self.edge_count = 0
@@ -290,10 +230,7 @@ class GraphState:
             self._fq_pos = 0
 
     def _add_vertex(self, f: float, z: int) -> None:
-        if self.tokens is not None:
-            self.tokens.extend([self.n] * z)
-        else:
-            self.tree.append(f * z)
+        self.tokens.extend([self.n] * z)
         self.fitness.append(f)
         self.impact.append(z)
         self.total_weight += f * z
@@ -309,7 +246,7 @@ class GraphState:
         source = self.n  # index the new vertex will take
         for i, count in incs.items():
             self.impact[i] += count
-            self.tree.add(i, self.fitness[i] * count)
+            self.tokens.extend([i] * count)
             self.total_weight += self.fitness[i] * count
             self.total_impact += count
             self.edge_count += count
@@ -317,7 +254,13 @@ class GraphState:
                 self.edge_log.append((source, i, count))
 
     def view(self) -> KernelView:
-        tree = self.tree
+        tokens, fitness = self.tokens, self.fitness
+
+        def pick(rng: np.random.Generator) -> int:
+            target: list[int] = []
+            _draw_targets(tokens, fitness, 1, rng.random, target.append)
+            return target[0]
+
         return KernelView(
             n=self.n,
             lam=self.lam,
@@ -325,7 +268,7 @@ class GraphState:
             impact=self.impact,
             total_weight=self.total_weight,
             fbar=fbar(self),
-            pick=None if tree is None else lambda u: tree.find(u * tree.total),
+            pick=pick,
         )
 
     @classmethod
@@ -372,7 +315,7 @@ def step(state: GraphState) -> GraphState:
     then append vertex n+1 with impact 1. On a built-in model a step is a
     one-vertex :func:`_grow`, whose numpy bookkeeping costs about 10 µs a
     call; :func:`run` pays that once per checkpoint."""
-    if state.tokens is not None:
+    if isinstance(state.model, _TokenUrnModel):
         _grow(state, state.n + 1)
     else:
         state.apply_increments(state.model.draw_increments(state, state.streams))
@@ -398,7 +341,7 @@ def _audit(state: GraphState, fbar_track: list[tuple[int, float]]) -> None:
             f"impact bookkeeping broken at n={n}: total_impact={state.total_impact}, "
             f"vertices+edges={n + state.edge_count}"
         )
-    if state.tokens is not None and len(state.tokens) != state.total_impact:
+    if len(state.tokens) != state.total_impact:
         raise AuditError(
             f"token urn broken at n={n}: {len(state.tokens)} tokens, "
             f"total_impact={state.total_impact}"
@@ -488,7 +431,7 @@ def run(
     snapshots = []
     fbar_track: list[tuple[int, float]] = []
     for cp in checkpoints:
-        if state.tokens is not None:
+        if isinstance(state.model, _TokenUrnModel):
             _grow(state, cp)
         while state.n < cp:
             step(state)
@@ -508,9 +451,10 @@ def _draw_targets(
     uniform: Callable[[], float],
     out: Callable[[int], object],
 ) -> None:
-    """The built-in edge-sampling loop: ``count`` token-urn draws against the
-    first ``len(tokens)`` tokens, two channel-1 uniforms per try, each target
-    passed to ``out``. The size is read once, so ``out`` may append to
+    """The edge-sampling loop: ``count`` token-urn draws against the first
+    ``len(tokens)`` tokens, two uniforms per try (channel 1 for the built-in
+    models, channel 3 for ``KernelView.pick``), each target passed to
+    ``out``. The size is read once, so ``out`` may append to
     ``tokens`` itself (``int(u * size)`` stays below ``size`` for every
     double u < 1)."""
     size = len(tokens)

@@ -371,18 +371,29 @@ def test_09_sampler_oracle_equivalence():
                 return i
         return len(weights) - 1
 
+    # the urn gets the uniforms (u, v, u', 0): token u, kept if v < F, else
+    # token u', always kept; the oracle scans the impacts for the same pairs
     rng = np.random.Generator(np.random.PCG64(BASE_SEED))
-    grid = np.linspace(0.0, 1.0, 26)[:-1]
+    grid = np.linspace(0.0, 1.0, 26)[:-1].tolist()
     mismatches = 0
     for _ in range(10_000):
         n = int(rng.integers(1, 200))
-        weights = rng.uniform(1e-3, 1.0, n).tolist()
-        tree = simulator.PrefixSumTree(weights)
-        for u in grid:
-            if tree.find(u * tree.total) != linear_scan(weights, u):
-                mismatches += 1
+        fitness = rng.uniform(1e-3, 1.0, n).tolist()
+        impacts = rng.integers(1, 21, n).tolist()
+        state = simulator.GraphState.from_arrays(
+            fitness, impacts, 1.0, simulator.PoissonOutdegree()
+        )
+        scans = [linear_scan(impacts, u) for u in grid]
+        for j, u in enumerate(grid):
+            retry = (j + 12) % len(grid)
+            for v in (0.0, 0.5, 0.999):
+                drawn = []
+                uniforms = iter((u, v, grid[retry], 0.0)).__next__
+                simulator._draw_targets(state.tokens, state.fitness, 1, uniforms, drawn.append)
+                expected = scans[j] if v < fitness[scans[j]] else scans[retry]
+                mismatches += drawn != [expected]
     _report("9 sampler equivalence", mismatches == 0,
-            f"{mismatches} mismatches over 1e4 weight vectors x 25-point grid")
+            f"{mismatches} mismatches over 1e4 urns x 25-point grid x 3 acceptance uniforms")
     assert mismatches == 0
 
 

@@ -294,3 +294,22 @@ class TestMain:
         path = tmp_path / "bad.json"
         path.write_text('{"schema_version": 1}')
         assert cli.main(["theory", "--config", str(path)]) == 2
+
+    def test_replicas_flag_is_validated_as_config(self, tmp_path):
+        path = tmp_path / "config.json"
+        small_config(tmp_path, n_target=300).save(path)
+        out = tmp_path / "cli_out"
+        argv = ["simulate", "--config", str(path), "--out", str(out), "--threads", "1"]
+        assert cli.main(argv + ["--replicas", "0"]) == 2
+        assert not out.exists()  # rejected before anything is written
+        assert cli.main(argv + ["--replicas", "1"]) == 0
+        assert json.loads((out / "sim/summary.json").read_text())["replicas"] == 1
+
+    @pytest.mark.parametrize("trials", [0, 1])
+    def test_check_kernel_needs_two_trials(self, tmp_path, trials):
+        path = tmp_path / "config.json"
+        small_config(tmp_path).save(path)
+        out = tmp_path / "cli_out"
+        argv = ["check-kernel", "--config", str(path), "--out", str(out), "--trials", str(trials)]
+        assert cli.main(argv) == 2
+        assert not out.exists()

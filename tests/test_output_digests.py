@@ -1,14 +1,15 @@
 """Pinned digests of the ``sim/`` output tree and the ``check-kernel`` report.
 
 Hot-path rewrites of the sampler must not move one output bit. These tests
-run ``pafit simulate`` on two small configs, with one and with two workers,
-and compare a SHA-256 over the written tree with the value the code wrote
-before the inverse-CDF replay and the batched token-urn bookkeeping. The
-``check-kernel`` report of a built-in and a demo model is pinned to the
-value written before the contract checks became pure statistics over one
-sample; it moves with any of ``kernel_contract``'s constants or with the
-order of its draws. A deliberate output change updates the pinned values
-and says so in ``CHANGES.md``.
+run ``pafit simulate`` on three small configs, with one and with two
+workers, and compare a SHA-256 over the written tree with a pinned value.
+The two Poisson trees are pinned to the value the code wrote before the
+inverse-CDF replay and the batched token-urn bookkeeping; the ``pairs_demo``
+tree, which grows through a custom kernel, to the value written when custom
+kernels moved onto the token urn. The ``check-kernel`` report of a built-in
+and a demo model is pinned too; it moves with any of ``kernel_contract``'s
+constants or with the order of its draws. A deliberate output change
+updates the pinned values and says so in ``CHANGES.md``.
 """
 
 import hashlib
@@ -25,10 +26,16 @@ CUBIC_GAP = {"type": "density", "edges": [0.0, 1.0], "coeffs": [[3.0, -6.0, 3.0]
 PINNED = {
     "poisson_two_point": "07f3534ec48e90daf0484d4e5340a9b031bb2c8752ecb5c4793b638b7215faf8",
     "poisson_cubic_gap": "00e8722c6292c7507b39681e284d613905d9dd1198f8d91dec256564c1db146a",
+    "pairs_demo_two_point": "82762a2c3024c83780b530819398518be7a93f9d7f8dff36467864dfccad4a1f",
+}
+SIM_CONFIGS = {  # name -> (model, fitness, lambda)
+    "poisson_two_point": ("poisson", TWO_POINT, 2.0),
+    "poisson_cubic_gap": ("poisson", CUBIC_GAP, 1.0),
+    "pairs_demo_two_point": ("pairs_demo", TWO_POINT, 2.0),
 }
 PINNED_CHECK_KERNEL = {
     "poisson": "5ca233620cf52996eeca944218c095b017737867181cd852e1670d43d1d59e5a",
-    "pairs_demo": "5567aac69729bcd04b61f947f7b878361f49221238d1de61083f635bfd1a4113",
+    "pairs_demo": "9ce6ad2389d6f372434b93f31496591475b0fd01e5624233abb19f690aa691ac",
 }
 
 
@@ -44,11 +51,11 @@ def tree_digest(root: Path) -> str:
 
 
 def config_for(name: str, out: Path) -> ExperimentConfig:
-    fitness, lam = (TWO_POINT, 2.0) if name == "poisson_two_point" else (CUBIC_GAP, 1.0)
+    model, fitness, lam = SIM_CONFIGS[name]
     return ExperimentConfig.from_dict(
         {
             "schema_version": 1,
-            "model": {"type": "poisson"},
+            "model": {"type": model},
             "lambda": lam,
             "fitness": fitness,
             "n_target": 4000,

@@ -1,6 +1,7 @@
 """Simulator tests: construction, one-step laws, bookkeeping, determinism,
-the token-urn engine, and the prefix-sum sampler against a naive
-linear-scan oracle."""
+and the token urn, which every model draws from: its draws against a naive
+linear-scan oracle over the impacts, and the urn under built-in and
+custom-kernel growth."""
 
 import math
 from collections import Counter
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from pafit import kernel_contract as K
 from pafit import measures as M
 from pafit import simulator as S
 
@@ -27,6 +29,20 @@ def linear_scan_pick(weights, u):
         if acc > target:
             return i
     return len(weights) - 1
+
+
+def urn_draw(state, uniforms):
+    """One draw of the state's urn, fed a fixed uniform sequence."""
+    drawn = []
+    S._draw_targets(state.tokens, state.fitness, 1, iter(uniforms).__next__, drawn.append)
+    return drawn[0]
+
+
+def pick_kernel(lam):
+    """lam token-urn picks a step through the public view: the fixed-outdegree law."""
+    return S.CustomKernel(
+        lambda view, rng: Counter(view.pick(rng) for _ in range(int(lam))), label="picks"
+    )
 
 
 class TestNewGraph:
@@ -124,48 +140,34 @@ class TestFbar:
 
 class TestSampler:
     def test_spec_examples(self):
-        tree = S.PrefixSumTree([1.0, 3.0])  # weights of F = (1, 1), Z = (1, 3)
-        assert tree.find(0.1 * tree.total) == 0  # 0.1 * 4 < 1
-        assert tree.find(0.5 * tree.total) == 1  # 2 >= 1
-
-    def test_matches_linear_scan_on_grid(self, rng):
-        for trial in range(300):
-            n = int(rng.integers(1, 200))
-            weights = rng.uniform(0.01, 1.0, n)
-            tree = S.PrefixSumTree(weights.tolist())
-            for u in np.linspace(0.0, 0.999, 61):
-                assert tree.find(u * tree.total) == linear_scan_pick(weights, u)
+        state = S.GraphState.from_arrays([1.0, 1.0], [1, 3], 1.0, S.PoissonOutdegree())
+        assert list(state.tokens) == [0, 1, 1, 1]
+        assert urn_draw(state, [0.1, 0.0]) == 0  # token int(0.1 * 4) = 0
+        assert urn_draw(state, [0.5, 0.0]) == 1  # token 2
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
-        weights=st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=64),
+        marks=st.lists(
+            st.tuples(st.floats(1e-3, 1.0), st.integers(1, 20)), min_size=1, max_size=64
+        ),
         u=st.floats(0.0, 1.0, exclude_max=True),
+        v=st.floats(0.0, 1.0, exclude_max=True),
+        retry=st.floats(0.0, 1.0, exclude_max=True),
     )
-    def test_matches_linear_scan_hypothesis(self, weights, u):
-        tree = S.PrefixSumTree(weights)
-        assert tree.find(u * tree.total) == linear_scan_pick(weights, u)
-
-    def test_prefix_tree_bookkeeping(self, rng):
-        values = rng.uniform(0.0, 2.0, 500)
-        expected = values.copy()
-        tree = S.PrefixSumTree(values[:100].tolist())
-        for v in values[100:]:
-            tree.append(float(v))
-        for idx in rng.integers(0, 500, 50):
-            tree.add(int(idx), 0.25)
-            expected[int(idx)] += 0.25
-        # the midpoint of each element's share of the total picks that element
-        mids = (np.cumsum(expected) - expected / 2.0) / expected.sum()
-        for i, u in enumerate(mids):
-            assert tree.find(u * tree.total) == linear_scan_pick(expected, u) == i
-        assert tree.total == pytest.approx(expected.sum(), rel=1e-12)
+    def test_matches_linear_scan_hypothesis(self, marks, u, v, retry):
+        # pairs (u, v) then (retry, 0): the oracle keeps the scanned target if v < F
+        fitness, impacts = zip(*marks)
+        state = S.GraphState.from_arrays(fitness, impacts, 1.0, S.PoissonOutdegree())
+        first = linear_scan_pick(impacts, u)
+        expected = first if v < fitness[first] else linear_scan_pick(impacts, retry)
+        assert urn_draw(state, [u, v, retry, 0.0]) == expected
 
 
 class TestTokenUrn:
     FITNESS = [1.0, 0.5, 0.25, 0.8, 0.1, 0.6, 0.95]
     IMPACT = [1, 3, 7, 2, 10, 1, 4]
 
-    @pytest.mark.parametrize("model", [S.PoissonOutdegree(), S.FixedOutdegree()])
+    @pytest.mark.parametrize("model", [S.PoissonOutdegree(), S.FixedOutdegree(), pick_kernel(3.0)])
     def test_one_step_law_chi_square(self, model):
         # pooled draws of the frozen one-step transition against lambda w_i / W
         lam, trials = 3.0, 20_000
@@ -177,7 +179,7 @@ class TestTokenUrn:
         weights = np.asarray(self.FITNESS) * np.asarray(self.IMPACT)
         expected = trials * lam * weights / weights.sum()
         chi2 = ((counts - expected) ** 2 / expected).sum()
-        # pooled Poisson counts are independent; the fixed total costs one df
+        # pooled Poisson counts are independent; a fixed total costs one df
         dof = state.n if isinstance(model, S.PoissonOutdegree) else state.n - 1
         assert stats.chi2.sf(chi2, dof) > 1e-3
         assert list(state.impact) == self.IMPACT  # the draws left the state frozen
@@ -186,18 +188,22 @@ class TestTokenUrn:
     @given(
         seed=st.integers(0, 2**32 - 1),
         lam=st.sampled_from([1.0, 2.0, 3.0]),
-        poisson=st.booleans(),
+        kind=st.sampled_from(["poisson", "multinomial", "pairs"]),
         density=st.booleans(),
         n=st.integers(1, 400),
         stepped=st.integers(0, 20),
     )
-    def test_tokens_mirror_impacts(self, seed, lam, poisson, density, n, stepped):
+    def test_tokens_mirror_impacts(self, seed, lam, kind, density, n, stepped):
         dist = (
             M.PiecewiseDensity((0.0, 1.0), ((3.0, -6.0, 3.0),))
             if density
             else M.FiniteDiscrete([(0.5, 0.5), (1.0, 0.5)])
         )
-        model = S.PoissonOutdegree() if poisson else S.FixedOutdegree()
+        model = {
+            "poisson": S.PoissonOutdegree(),
+            "multinomial": S.FixedOutdegree(),
+            "pairs": K.pair_emitting_kernel(lam),  # custom kernel, two edges per pick
+        }[kind]
         state = S.new_graph(dist, lam, model, seed=seed)
         S.run(state, n, bins=5, k_max=3)
         for _ in range(stepped):
@@ -258,11 +264,12 @@ class TestTokenUrn:
         assert after == before
 
     def test_audit_counts_tokens(self, two_point):
-        state = S.new_graph(two_point, 2.0, S.PoissonOutdegree(), seed=43)
-        S.run(state, 64, bins=5, k_max=3)
-        state.tokens.pop()
-        with pytest.raises(S.AuditError, match="token"):
-            S.run(state, 128, bins=5, k_max=3)
+        for model in (S.PoissonOutdegree(), pick_kernel(2.0)):
+            state = S.new_graph(two_point, 2.0, model, seed=43)
+            S.run(state, 64, bins=5, k_max=3)
+            state.tokens.pop()
+            with pytest.raises(S.AuditError, match="token"):
+                S.run(state, 128, bins=5, k_max=3)
 
     def test_audit_resums_total_weight(self, two_point):
         state = S.new_graph(two_point, 2.0, S.FixedOutdegree(), seed=47)
@@ -271,12 +278,15 @@ class TestTokenUrn:
         with pytest.raises(S.AuditError, match="total weight"):
             S.run(state, 128, bins=5, k_max=3)
 
-    def test_only_custom_states_keep_a_weight_index(self, uniform):
-        builtin = S.new_graph(uniform, 1.0, S.PoissonOutdegree(), seed=53)
-        assert builtin.tree is None and builtin.view().pick is None
-        custom = S.new_graph(uniform, 1.0, S.CustomKernel(lambda view, rng: {}), seed=53)
-        assert custom.tokens is None
-        assert custom.view().pick(0.5) == 0
+    def test_every_state_keeps_tokens_and_a_pick(self, uniform):
+        for model in (S.PoissonOutdegree(), S.FixedOutdegree(), pick_kernel(1.0)):
+            state = S.new_graph(uniform, 1.0, model, seed=53)
+            assert list(state.tokens) == [0]
+            assert state.view().pick(np.random.default_rng(53)) == 0
+            S.run(state, 200, bins=5, k_max=3)
+            assert Counter(state.tokens) == dict(enumerate(state.impact))
+            picks = [state.view().pick(np.random.default_rng(seed)) for seed in range(50)]
+            assert all(0 <= i < state.n for i in picks)
 
 
 class TestRun:
@@ -360,8 +370,7 @@ class TestRun:
     def test_custom_kernel_runs(self, uniform):
         # kernel that mimics the fixed-outdegree law through the public view
         def draw(view, rng):
-            i = view.pick(rng.random())
-            return {i: 1}
+            return {view.pick(rng): 1}
 
         state = S.new_graph(uniform, 1.0, S.CustomKernel(draw), seed=41)
         snaps = S.run(state, 500, bins=5, k_max=3)
