@@ -332,18 +332,19 @@ def cmd_check_kernel(
     config: ExperimentConfig,
     *,
     out_dir: Path | None = None,
-    ns: tuple[int, ...] = (100, 1_000, 10_000),
-    trials: int = 10_000,
+    ns: tuple[int, ...] | None = None,
+    trials: int | None = None,
 ) -> dict:
-    """Run the attachment-contract suite for the configured model."""
+    """Run the attachment-contract suite for the configured model; ``ns``
+    and ``trials`` default to ``run_contract_suite``'s."""
     out = (out_dir or resolve_out_dir(config, None)) / "check_kernel"
+    sizes = {key: value for key, value in (("ns", ns), ("trials", trials)) if value is not None}
     report = kernel_contract.run_contract_suite(
         config.attachment_model(),
         config.distribution(),
         config.lam,
-        ns=ns,
-        trials=trials,
         base_seed=config.base_seed,
+        **sizes,
     )
     payload = {
         "schema_version": 1,
@@ -380,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--seed", type=int, default=None)
             cmd.add_argument("--threads", type=int, default=None)
         if name == "check-kernel":
-            cmd.add_argument("--trials", type=int, default=10_000)
+            cmd.add_argument("--trials", type=int, default=None)
     return parser
 
 

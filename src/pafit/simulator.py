@@ -6,7 +6,8 @@ running total weight ``W = sum_i fitness_i * impact_i``; the full adjacency
 is never stored (an optional edge log can be switched on for debugging).
 Each growth step freezes the current weights, draws the edge increments of
 the chosen attachment model against them, applies the increments, and
-appends the new vertex with impact 1.
+appends the new vertex with impact 1. :func:`new_graph` places vertex 0;
+:func:`run` adds every later one, through :func:`_grow`.
 
 Attachment models:
 
@@ -30,7 +31,7 @@ appended tokens once per call, by numpy, in the order a running sum would
 add them; that loop costs about 1.2 µs per edge on the two-point law and
 2.5 µs on the density (2-CPU Xeon, traced ``perfbench`` runs). Custom
 kernels draw from the same urn through ``KernelView.pick``, on channel 3,
-and their increments extend it.
+one vertex at a time.
 
 Randomness is organised in four documented channels per replica so that a
 value's position in a stream never depends on internal batching:
@@ -160,11 +161,14 @@ class CustomKernel:
     label: str = "custom"
 
     def draw_increments(self, state: "GraphState", streams: ReplicaStreams) -> dict[int, int]:
-        raw = self.draw(state.view(), streams.kernel_rng)
+        return self.increments(state.view(), streams.kernel_rng)
+
+    def increments(self, view: KernelView, rng: np.random.Generator) -> dict[int, int]:
+        """One checked draw; a frozen state's view may serve many."""
         incs: dict[int, int] = {}
-        for index, count in raw.items():
+        for index, count in self.draw(view, rng).items():
             index = int(index)
-            if not 0 <= index < state.n:
+            if not 0 <= index < view.n:
                 raise MeasureError(f"kernel emitted edge to nonexistent vertex {index}")
             count = int(count)
             if count < 0:
@@ -195,8 +199,6 @@ class GraphState:
         "total_impact",
         "edge_count",
         "edge_log",
-        "_fitness_queue",
-        "_fq_pos",
     )
 
     def __init__(self, dist, lam, model, streams, *, edge_log: bool = False):
@@ -211,38 +213,21 @@ class GraphState:
         self.total_impact = 0
         self.edge_count = 0
         self.edge_log: list[tuple[int, int, int]] | None = [] if edge_log else None
-        self._fitness_queue = np.empty(0)
-        self._fq_pos = 0
 
     @property
     def n(self) -> int:
         return len(self.fitness)
 
-    def reserve_fitness(self, target_n: int) -> None:
-        """Pre-draw fitness marks up to vertex ``target_n`` at least (one
-        uniform each, in blocks of 4096 or more: a density law's inverse CDF
-        costs about a millisecond to prepare per call)."""
-        need = target_n - self.n - (len(self._fitness_queue) - self._fq_pos)
-        if need > 0:
-            fresh = measures.quantile(self.dist, self.streams.fitness_uniforms(max(need, 4096)))
-            pending = self._fitness_queue[self._fq_pos:]
-            self._fitness_queue = np.concatenate([pending, np.atleast_1d(fresh)])
-            self._fq_pos = 0
-
-    def _add_vertex(self, f: float, z: int) -> None:
-        self.tokens.extend([self.n] * z)
+    def _add_vertex(self, f: float) -> None:
+        """Append a vertex of fitness ``f`` with impact 1 and its token."""
+        self.tokens.append(self.n)
         self.fitness.append(f)
-        self.impact.append(z)
-        self.total_weight += f * z
-        self.total_impact += z
-
-    def append_vertex(self) -> None:
-        self.reserve_fitness(self.n + 1)
-        self._fq_pos += 1
-        self._add_vertex(float(self._fitness_queue[self._fq_pos - 1]), 1)
+        self.impact.append(1)
+        self.total_weight += f
+        self.total_impact += 1
 
     def apply_increments(self, incs: Mapping[int, int]) -> None:
-        """Apply a custom kernel's increments (built-in models grow in :func:`_grow`)."""
+        """Apply a custom kernel's increments (built-in models count theirs in bulk)."""
         source = self.n  # index the new vertex will take
         for i, count in incs.items():
             self.impact[i] += count
@@ -272,16 +257,22 @@ class GraphState:
         )
 
     @classmethod
-    def from_arrays(cls, fitness, impact, lam, model, *, seed: int = 0, replica: int = 0):
-        """Build a frozen synthetic state (used by contract checks and tests)."""
-        state = cls(None, lam, model, ReplicaStreams(seed, replica))
-        for f, z in zip(fitness, impact):
-            if not 0.0 < f <= 1.0:
-                raise MeasureError(f"fitness {f} outside (0, 1]")
-            if z < 1:
-                raise MeasureError("impact must be >= 1")
-            state._add_vertex(float(f), int(z))
-        state.edge_count = state.total_impact - state.n
+    def from_arrays(cls, fitness, impact, lam, model):
+        """Build a frozen synthetic state (used by contract checks and tests)
+        without streams: callers that sample it pass their own. Tokens come
+        in index order; W is a sequential ``cumsum``, a running sum's bits."""
+        f = np.asarray(fitness, dtype=float)
+        z = np.asarray(impact, dtype=np.int64)
+        shaped = f.size and f.shape == z.shape == (f.size,)
+        if not (shaped and np.all((f > 0) & (f <= 1) & (z >= 1))):
+            raise MeasureError("a state needs fitnesses in (0, 1] and as many impacts >= 1")
+        state = cls(None, lam, model, None)
+        state.fitness.frombytes(f.tobytes())
+        state.impact.frombytes(z.tobytes())
+        state.tokens.frombytes(np.repeat(np.arange(f.size, dtype=np.intc), z).tobytes())
+        state.total_weight = float(np.cumsum(f * z)[-1])
+        state.total_impact = int(z.sum())
+        state.edge_count = state.total_impact - f.size
         return state
 
 
@@ -301,26 +292,13 @@ def new_graph(
     if isinstance(model, FixedOutdegree) and lam != int(lam):
         raise MeasureError(f"fixed-outdegree model needs integer lambda, got {lam}")
     state = GraphState(dist, lam, model, ReplicaStreams(seed, replica), edge_log=edge_log)
-    state.append_vertex()
+    state._add_vertex(float(measures.quantile(dist, state.streams.fitness_uniforms(1))[0]))
     return state
 
 
 def fbar(state: GraphState) -> float:
     """Normalisation: total weight / (lambda * n)."""
     return state.total_weight / (state.lam * state.n)
-
-
-def step(state: GraphState) -> GraphState:
-    """One growth step: draw increments against the frozen weights, apply,
-    then append vertex n+1 with impact 1. On a built-in model a step is a
-    one-vertex :func:`_grow`, whose numpy bookkeeping costs about 10 µs a
-    call; :func:`run` pays that once per checkpoint."""
-    if isinstance(state.model, _TokenUrnModel):
-        _grow(state, state.n + 1)
-    else:
-        state.apply_increments(state.model.draw_increments(state, state.streams))
-        state.append_vertex()
-    return state
 
 
 def default_schedule(start_n: int, n_target: int) -> list[int]:
@@ -412,8 +390,10 @@ def run(
 ):
     """Advance to ``n_target``, snapshotting at each checkpoint.
 
-    Returns the list of snapshots. Bookkeeping audits run at every
-    checkpoint and abort with :class:`AuditError` on failure.
+    The only code that adds vertices after vertex 0: one ``quantile`` call
+    draws all new fitness marks (a density's inverse CDF takes milliseconds
+    to prepare per call), and :func:`_grow` takes each checkpoint's slice.
+    Returns the snapshots; audits at every checkpoint raise :class:`AuditError`.
     """
     from . import empirics  # local import: empirics feeds on states, not vice versa
 
@@ -427,14 +407,12 @@ def run(
     if n_target not in checkpoints:
         checkpoints.append(n_target)
 
-    state.reserve_fitness(n_target)
+    start = state.n
+    marks = measures.quantile(state.dist, state.streams.fitness_uniforms(n_target - start))
     snapshots = []
     fbar_track: list[tuple[int, float]] = []
     for cp in checkpoints:
-        if isinstance(state.model, _TokenUrnModel):
-            _grow(state, cp)
-        while state.n < cp:
-            step(state)
+        _grow(state, marks[state.n - start : cp - start])
         _audit(state, fbar_track)
         snap = empirics.snapshot(state, bins=bins, k_max=k_max, bin_edges=bin_edges)
         snapshots.append(snap)
@@ -465,17 +443,23 @@ def _draw_targets(
         out(i)
 
 
-def _grow(state: GraphState, n_stop: int) -> None:
-    """Advance a built-in model's state to ``n_stop`` vertices.
+def _grow(state: GraphState, marks: np.ndarray) -> None:
+    """Append one vertex per fitness mark, in order, each after its edges.
 
-    The marks of the new vertices are appended first: a draw reads only
-    vertices that own a token, and a vertex gets its token after its own
-    targets are drawn. The loop then only draws and appends tokens, each
+    A custom kernel's vertices are drawn, applied and appended one mark at
+    a time. On a built-in model the marks are appended first: a draw reads
+    only vertices that own a token, and a vertex gets its token after its
+    own targets are drawn. The loop then only draws and appends tokens, each
     step's targets and then the new vertex's own token. Impacts and the
     total weight are updated once per call from the appended tokens: one
     unit of impact each (``np.add.at``), and a sequential ``cumsum`` of their
     fitnesses, which adds them in the order a running sum would.
     """
+    if isinstance(state.model, CustomKernel):
+        for f in marks.tolist():
+            state.apply_increments(state.model.draw_increments(state, state.streams))
+            state._add_vertex(f)
+        return
     tokens = state.tokens
     fitness = state.fitness
     next_count = state.model.outdegrees(state.lam, state.streams)
@@ -483,13 +467,11 @@ def _grow(state: GraphState, n_stop: int) -> None:
     append = tokens.append
     log = state.edge_log
     start_n = state.n
+    n_stop = start_n + len(marks)
     first = len(tokens)
     edges = state.edge_count
     impacts = state.total_impact
-    state.reserve_fitness(n_stop)
-    start = state._fq_pos
-    fitness.frombytes(state._fitness_queue[start : start + n_stop - start_n].tobytes())
-    state._fq_pos = start + n_stop - start_n
+    fitness.frombytes(marks.tobytes())
 
     for n in range(start_n, n_stop):
         count = next_count()

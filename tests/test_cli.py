@@ -313,3 +313,18 @@ class TestMain:
         argv = ["check-kernel", "--config", str(path), "--out", str(out), "--trials", str(trials)]
         assert cli.main(argv) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags, forwarded", [([], {}), (["--trials", "7"], {"trials": 7})])
+    def test_check_kernel_forwards_only_set_sizes(self, tmp_path, monkeypatch, flags, forwarded):
+        # ns and trials default in one place: run_contract_suite's signature
+        seen = {}
+
+        def suite(model, dist, lam, *, base_seed, **sizes):
+            seen.update(sizes)
+            raise MeasureError("stop before sampling")
+
+        monkeypatch.setattr(cli.kernel_contract, "run_contract_suite", suite)
+        path = tmp_path / "config.json"
+        small_config(tmp_path).save(path)
+        assert cli.main(["check-kernel", "--config", str(path), *flags]) == 2
+        assert seen == forwarded

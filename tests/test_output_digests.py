@@ -6,8 +6,8 @@ workers, and compare a SHA-256 over the written tree with a pinned value.
 The two Poisson trees are pinned to the value the code wrote before the
 inverse-CDF replay and the batched token-urn bookkeeping; the ``pairs_demo``
 tree, which grows through a custom kernel, to the value written when custom
-kernels moved onto the token urn. The ``check-kernel`` report of a built-in
-and a demo model is pinned too; it moves with any of ``kernel_contract``'s
+kernels moved onto the token urn. The ``check-kernel`` report of every
+config model is pinned too; it moves with any of ``kernel_contract``'s
 constants or with the order of its draws. A deliberate output change
 updates the pinned values and says so in ``CHANGES.md``.
 """
@@ -35,7 +35,11 @@ SIM_CONFIGS = {  # name -> (model, fitness, lambda)
 }
 PINNED_CHECK_KERNEL = {
     "poisson": "5ca233620cf52996eeca944218c095b017737867181cd852e1670d43d1d59e5a",
+    "multinomial": "8a970a207e2fc63b9d1ac1937eb91b60a4d4910673040d944d448368023ebc2f",
     "pairs_demo": "9ce6ad2389d6f372434b93f31496591475b0fd01e5624233abb19f690aa691ac",
+    "uniform_demo": "9dccfffda3c1bbc2b80f3ed71dc4e97c683cc9bb38b23163c5fe876a6fcebcd9",
+    "bursty_demo": "6a6b7562d398eb2a6cfad4cd5e34a05fd26b2f43845dca8a0f444e04bb774beb",
+    "coupled_demo": "971339984566cb238fcfaf7ac344943626e06301eb15603fa4e55b3ee1f785a7",
 }
 
 

@@ -8,7 +8,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -36,6 +36,26 @@ def urn_draw(state, uniforms):
     drawn = []
     S._draw_targets(state.tokens, state.fitness, 1, iter(uniforms).__next__, drawn.append)
     return drawn[0]
+
+
+def step(state):
+    """One growth step through ``run``: a one-vertex checkpoint."""
+    S.run(state, state.n + 1, schedule=[state.n + 1], bins=5, k_max=3)
+
+
+def law_and_model(density, kind, lam):
+    """The law 3(1-f)^2 or the two-point law, and a model of the given kind."""
+    dist = (
+        M.PiecewiseDensity((0.0, 1.0), ((3.0, -6.0, 3.0),))
+        if density
+        else M.FiniteDiscrete([(0.5, 0.5), (1.0, 0.5)])
+    )
+    model = {
+        "poisson": S.PoissonOutdegree(),
+        "multinomial": S.FixedOutdegree(),
+        "pairs": K.pair_emitting_kernel(lam),  # custom kernel, two edges per pick
+    }[kind]
+    return dist, model
 
 
 def pick_kernel(lam):
@@ -71,7 +91,7 @@ class TestNewGraph:
 class TestStep:
     def test_single_old_vertex_gets_the_edge(self, two_point):
         state = S.new_graph(two_point, 1.0, S.FixedOutdegree(), seed=5)
-        S.step(state)
+        step(state)
         assert list(state.impact) == [2, 1]
         assert state.edge_count == 1
 
@@ -79,7 +99,7 @@ class TestStep:
         state = S.new_graph(two_point, 2.0, S.FixedOutdegree(), seed=5)
         for _ in range(50):
             before = state.total_impact
-            S.step(state)
+            step(state)
             assert state.total_impact == before + 1 + 2
 
     def test_poisson_outdegree_distribution(self, uniform):
@@ -102,14 +122,14 @@ class TestStep:
     def test_zero_outdegree_step_is_legal(self, uniform):
         state = S.new_graph(uniform, 0.01, S.PoissonOutdegree(), seed=3)
         for _ in range(20):
-            S.step(state)
+            step(state)
         assert state.n == 21
         assert all(z >= 1 for z in state.impact)
 
     def test_multigraph_multiplicity_counted(self, two_point):
         # lambda = 4 onto a single old vertex: all four edges hit it
         state = S.new_graph(two_point, 4.0, S.FixedOutdegree(), seed=9)
-        S.step(state)
+        step(state)
         assert state.impact[0] == 5
         assert state.total_impact == 6
 
@@ -117,7 +137,7 @@ class TestStep:
         kernel = S.CustomKernel(lambda view, rng: {0: -1})
         state = S.new_graph(uniform, 1.0, kernel, seed=1)
         with pytest.raises(M.MeasureError):
-            S.step(state)
+            step(state)
 
 
 class TestFbar:
@@ -163,6 +183,35 @@ class TestSampler:
         assert urn_draw(state, [u, v, retry, 0.0]) == expected
 
 
+class TestFromArrays:
+    @pytest.mark.parametrize(
+        "fitness, impact",
+        [(0.0, 1), (1.5, 1), (math.nan, 1), (0.5, 0)],
+        ids=["fitness-0", "fitness-1.5", "fitness-nan", "impact-0"],
+    )
+    def test_invalid_vertex_rejected(self, fitness, impact):
+        with pytest.raises(M.MeasureError):
+            S.GraphState.from_arrays([0.5, fitness], [2, impact], 1.0, S.PoissonOutdegree())
+
+    def test_lengths_must_match(self):
+        with pytest.raises(M.MeasureError):
+            S.GraphState.from_arrays([0.5, 0.5], [1], 1.0, S.PoissonOutdegree())
+
+    def test_tokens_in_index_order_and_weight_of_a_running_sum(self):
+        rng = np.random.default_rng(61)
+        fitness = rng.uniform(1e-3, 1.0, 500).tolist()
+        impact = rng.integers(1, 21, 500).tolist()
+        state = S.GraphState.from_arrays(fitness, impact, 2.0, S.PoissonOutdegree())
+        assert list(state.tokens) == [i for i, z in enumerate(impact) for _ in range(z)]
+        total = 0.0
+        for f, z in zip(fitness, impact):
+            total += f * z
+        assert state.total_weight.hex() == total.hex()
+        assert list(state.fitness) == fitness and list(state.impact) == impact
+        assert (state.total_impact, state.edge_count) == (sum(impact), sum(impact) - 500)
+        assert state.streams is None
+
+
 class TestTokenUrn:
     FITNESS = [1.0, 0.5, 0.25, 0.8, 0.1, 0.6, 0.95]
     IMPACT = [1, 3, 7, 2, 10, 1, 4]
@@ -171,10 +220,11 @@ class TestTokenUrn:
     def test_one_step_law_chi_square(self, model):
         # pooled draws of the frozen one-step transition against lambda w_i / W
         lam, trials = 3.0, 20_000
-        state = S.GraphState.from_arrays(self.FITNESS, self.IMPACT, lam=lam, model=model, seed=3)
+        state = S.GraphState.from_arrays(self.FITNESS, self.IMPACT, lam=lam, model=model)
+        streams = S.ReplicaStreams(3)
         counts = np.zeros(state.n)
         for _ in range(trials):
-            for i, c in model.draw_increments(state, state.streams).items():
+            for i, c in model.draw_increments(state, streams).items():
                 counts[i] += c
         weights = np.asarray(self.FITNESS) * np.asarray(self.IMPACT)
         expected = trials * lam * weights / weights.sum()
@@ -194,20 +244,11 @@ class TestTokenUrn:
         stepped=st.integers(0, 20),
     )
     def test_tokens_mirror_impacts(self, seed, lam, kind, density, n, stepped):
-        dist = (
-            M.PiecewiseDensity((0.0, 1.0), ((3.0, -6.0, 3.0),))
-            if density
-            else M.FiniteDiscrete([(0.5, 0.5), (1.0, 0.5)])
-        )
-        model = {
-            "poisson": S.PoissonOutdegree(),
-            "multinomial": S.FixedOutdegree(),
-            "pairs": K.pair_emitting_kernel(lam),  # custom kernel, two edges per pick
-        }[kind]
+        dist, model = law_and_model(density, kind, lam)
         state = S.new_graph(dist, lam, model, seed=seed)
         S.run(state, n, bins=5, k_max=3)
         for _ in range(stepped):
-            S.step(state)
+            step(state)
         assert Counter(state.tokens) == dict(enumerate(state.impact))
         assert len(state.tokens) == state.total_impact
         exact = math.fsum(f * z for f, z in zip(state.fitness, state.impact))
@@ -217,27 +258,25 @@ class TestTokenUrn:
     @given(
         seed=st.integers(0, 2**32 - 1),
         lam=st.sampled_from([1.0, 2.0, 3.0]),
-        poisson=st.booleans(),
+        kind=st.sampled_from(["poisson", "multinomial", "pairs"]),
         density=st.booleans(),
         n=st.integers(1, 300),
         cuts=st.lists(st.integers(1, 300), max_size=6),
         tail=st.integers(0, 12),
     )
+    # a whole run against 399 single steps, and against a checkpoint and 300
+    @example(seed=23, lam=2.0, kind="multinomial", density=False, n=1, cuts=[], tail=399)
+    @example(seed=29, lam=1.0, kind="poisson", density=True, n=100, cuts=[100], tail=300)
     def test_growth_is_independent_of_segmentation(
-        self, seed, lam, poisson, density, n, cuts, tail
+        self, seed, lam, kind, density, n, cuts, tail
     ):
         # checkpoints and single steps only cut the same chain into pieces:
         # the bookkeeping batched per piece must not depend on where
-        dist = (
-            M.PiecewiseDensity((0.0, 1.0), ((3.0, -6.0, 3.0),))
-            if density
-            else M.FiniteDiscrete([(0.5, 0.5), (1.0, 0.5)])
-        )
-        model = S.PoissonOutdegree() if poisson else S.FixedOutdegree()
+        dist, model = law_and_model(density, kind, lam)
         cut = S.new_graph(dist, lam, model, seed=seed, edge_log=True)
         S.run(cut, n, schedule=sorted({c for c in cuts if c <= n}), bins=5, k_max=3)
         for _ in range(tail):
-            S.step(cut)
+            step(cut)
         whole = S.new_graph(dist, lam, model, seed=seed, edge_log=True)
         S.run(whole, n + tail, schedule=[n + tail], bins=5, k_max=3)
         assert cut.tokens == whole.tokens
@@ -323,27 +362,6 @@ class TestRun:
         S.run(state, 10_000, bins=10, k_max=5)
         resum = float(np.dot(np.asarray(state.fitness), np.asarray(state.impact, dtype=float)))
         assert state.total_weight == pytest.approx(resum, rel=1e-9)
-
-    def test_run_equals_repeated_step(self, two_point):
-        # the inlined hot loop and the generic step must produce identical states
-        a = S.new_graph(two_point, 2.0, S.FixedOutdegree(), seed=23, edge_log=True)
-        S.run(a, 400, schedule=[400], bins=5, k_max=3)
-        b = S.new_graph(two_point, 2.0, S.FixedOutdegree(), seed=23, edge_log=True)
-        while b.n < 400:
-            S.step(b)
-        assert a.fitness == b.fitness
-        assert a.impact == b.impact
-        assert a.edge_log == b.edge_log
-
-    def test_poisson_run_equals_repeated_step(self, uniform):
-        a = S.new_graph(uniform, 1.0, S.PoissonOutdegree(), seed=29, edge_log=True)
-        S.run(a, 400, schedule=[100, 400], bins=5, k_max=3)
-        b = S.new_graph(uniform, 1.0, S.PoissonOutdegree(), seed=29, edge_log=True)
-        while b.n < 400:
-            S.step(b)
-        assert a.fitness == b.fitness
-        assert a.impact == b.impact
-        assert a.edge_log == b.edge_log
 
     def test_determinism_same_seed(self, cubic_gap):
         runs = []
