@@ -8,7 +8,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -264,9 +264,6 @@ class TestTokenUrn:
         cuts=st.lists(st.integers(1, 300), max_size=6),
         tail=st.integers(0, 12),
     )
-    # a whole run against 399 single steps, and against a checkpoint and 300
-    @example(seed=23, lam=2.0, kind="multinomial", density=False, n=1, cuts=[], tail=399)
-    @example(seed=29, lam=1.0, kind="poisson", density=True, n=100, cuts=[100], tail=300)
     def test_growth_is_independent_of_segmentation(
         self, seed, lam, kind, density, n, cuts, tail
     ):
@@ -362,6 +359,27 @@ class TestRun:
         S.run(state, 10_000, bins=10, k_max=5)
         resum = float(np.dot(np.asarray(state.fitness), np.asarray(state.impact, dtype=float)))
         assert state.total_weight == pytest.approx(resum, rel=1e-9)
+
+    def test_run_equals_repeated_step(self, two_point):
+        # one checkpoint and 399 one-vertex checkpoints must produce identical states
+        a = S.new_graph(two_point, 2.0, S.FixedOutdegree(), seed=23, edge_log=True)
+        S.run(a, 400, schedule=[400], bins=5, k_max=3)
+        b = S.new_graph(two_point, 2.0, S.FixedOutdegree(), seed=23, edge_log=True)
+        while b.n < 400:
+            step(b)
+        assert a.fitness == b.fitness
+        assert a.impact == b.impact
+        assert a.edge_log == b.edge_log
+
+    def test_poisson_run_equals_repeated_step(self, uniform):
+        a = S.new_graph(uniform, 1.0, S.PoissonOutdegree(), seed=29, edge_log=True)
+        S.run(a, 400, schedule=[100, 400], bins=5, k_max=3)
+        b = S.new_graph(uniform, 1.0, S.PoissonOutdegree(), seed=29, edge_log=True)
+        while b.n < 400:
+            step(b)
+        assert a.fitness == b.fitness
+        assert a.impact == b.impact
+        assert a.edge_log == b.edge_log
 
     def test_determinism_same_seed(self, cubic_gap):
         runs = []
