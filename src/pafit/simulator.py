@@ -24,14 +24,18 @@ tokens, and a draw picks a uniform token and keeps its owner with
 probability F_i <= 1, so it lands on i with probability F_i Z_i / W. A
 step's draws see only the tokens present when the step began. A draw takes
 ``total_impact / total_weight`` tries on average (1.16 on the two-point law
-at lambda 2, about 2.5 on the density 3(1-f)^2 at lambda 1). The Python
-loop of :func:`_grow` does nothing else per edge: two uniforms and a token
-lookup per try, one append per target. Impacts and W are updated from the
-appended tokens once per call, by numpy, in the order a running sum would
-add them; that loop costs about 1.2 µs per edge on the two-point law and
-2.5 µs on the density (2-CPU Xeon, traced ``perfbench`` runs). Custom
-kernels draw from the same urn through ``KernelView.pick``, on channel 3,
-one vertex at a time.
+at lambda 2, about 2.5 on the density 3(1-f)^2 at lambda 1). The loop of
+:func:`_grow` does nothing else per edge: two uniforms and a token lookup
+per try, one append per target. For the built-in models it runs as the C
+function of ``_urn.c``, compiled on first use and loaded with ``ctypes``;
+it makes the Python loop's double multiply, truncation and compare, so
+its output is the same bits. Where no C compiler works, the Python loop
+runs instead. Impacts and W are updated from the appended tokens once per
+call, by numpy, in the order a running sum would add them. A replica's
+growth costs about 0.15 µs per edge on the two-point law and 0.25 µs on
+the density, against 1.0-1.5 and 1.9-2.4 µs with the Python loop (2-CPU
+Xeon, traced ``perfbench`` runs). Custom kernels draw from the same urn
+through ``KernelView.pick``, on channel 3, one vertex at a time, in Python.
 
 Randomness is organised in four documented channels per replica so that a
 value's position in a stream never depends on internal batching:
@@ -39,16 +43,25 @@ value's position in a stream never depends on internal batching:
 PCG64 generator, with channel 0 = fitness inverse-CDF uniforms (one per
 vertex), channel 1 = edge-target uniforms (two per try: the first picks the
 token, the second decides acceptance), channel 2 = outdegree counts,
-channel 3 = custom-kernel draws.
+channel 3 = custom-kernel draws. Channels 1 and 2 are each read from one
+block and one position by every consumer: one-step draws, the outdegrees
+of a growth call and the compiled loop.
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
+import tempfile
 from array import array
 from collections import Counter
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -63,9 +76,64 @@ class AuditError(RuntimeError):
     """A checkpoint bookkeeping audit failed; the run state is suspect."""
 
 
-def _endless(refill: Callable[[], list]) -> Callable[[], object]:
-    """One value per call from the concatenation of ``refill()`` blocks."""
-    return itertools.chain.from_iterable(iter(refill, None)).__next__
+class _Stream:
+    """One random channel, read in numpy blocks from one position.
+
+    Single reads (``next``, a list iterator over the block at C speed),
+    array reads (``take``) and the compiled growth loop (``block``, ``pos``
+    and ``advance``) all move the same position, so a value's place in the
+    stream never depends on which of them read it.
+    """
+
+    __slots__ = ("_refill", "block", "_start", "_mirror", "next")
+
+    def __init__(self, refill: Callable[[], np.ndarray]):
+        self._refill = refill
+        self.block = np.empty(0)
+        self._start = 0  # the position, until a single read mirrors the block
+        self._mirror = None  # iterator over block.tolist(); it then holds the position
+        self.next: Callable[[], object] = itertools.chain.from_iterable(self._mirrors()).__next__
+
+    @property
+    def pos(self) -> int:
+        if self._mirror is None:
+            return self._start
+        return len(self.block) - self._mirror.__length_hint__()
+
+    def advance(self, k: int) -> None:
+        if self._mirror is None:
+            self._start += k
+        else:
+            self._mirror.__setstate__(self.pos + k)
+
+    def fill(self) -> None:
+        """Start a new block after the values not yet read."""
+        rest = self.block[self.pos :]
+        if self._mirror is not None:  # exhausted, so `next` moves on to the new block
+            self._mirror.__setstate__(len(self.block))
+            self._mirror = None
+        self.block = np.concatenate((rest, self._refill())) if rest.size else self._refill()
+        self._start = 0
+
+    def _mirrors(self):
+        while True:
+            if self.pos == len(self.block):
+                self.fill()
+            self._mirror = iter(self.block.tolist())
+            self._mirror.__setstate__(self._start)
+            yield self._mirror
+
+    def take(self, size: int) -> np.ndarray:
+        parts = []
+        while True:
+            if self.pos == len(self.block):
+                self.fill()
+            part = self.block[self.pos : self.pos + size]
+            parts.append(part)
+            self.advance(len(part))
+            size -= len(part)
+            if not size:
+                return np.concatenate(parts) if len(parts) > 1 else part
 
 
 class ReplicaStreams:
@@ -77,7 +145,7 @@ class ReplicaStreams:
         "_fitness_rng",
         "_count_rng",
         "kernel_rng",
-        "next_edge_uniform",
+        "edges",
         "_counts",
         "_clam",
     )
@@ -96,16 +164,14 @@ class ReplicaStreams:
         edge_rng = generator(1)
         self._count_rng = generator(2)
         self.kernel_rng = generator(3)
-        self.next_edge_uniform: Callable[[], float] = _endless(
-            lambda: edge_rng.random(_BLOCK).tolist()
-        )
-        self._counts: Callable[[], int] | None = None
+        self.edges = _Stream(lambda: edge_rng.random(_BLOCK))
+        self._counts: _Stream | None = None
         self._clam: float | None = None
 
-    def poisson_counts(self, lam: float) -> Callable[[], int]:
-        """Draw function of Poisson(lam) outdegrees; a new lam starts a new block."""
+    def poisson_counts(self, lam: float) -> _Stream:
+        """Stream of Poisson(lam) outdegrees; a new lam starts a new block."""
         if self._clam != lam:
-            self._counts = _endless(lambda: self._count_rng.poisson(lam, _BLOCK).tolist())
+            self._counts = _Stream(lambda: self._count_rng.poisson(lam, _BLOCK))
             self._clam = lam
         return self._counts
 
@@ -132,8 +198,8 @@ class _TokenUrnModel:
 
     def draw_increments(self, state: "GraphState", streams: ReplicaStreams) -> dict[int, int]:
         targets: list[int] = []
-        count = self.outdegrees(state.lam, streams)()
-        _draw_targets(state.tokens, state.fitness, count, streams.next_edge_uniform, targets.append)
+        count = self.outdegree(state.lam, streams)
+        _draw_targets(state.tokens, state.fitness, count, streams.edges.next, targets.append)
         return Counter(targets)
 
 
@@ -141,16 +207,22 @@ class _TokenUrnModel:
 class PoissonOutdegree(_TokenUrnModel):
     label: str = "poisson"
 
-    def outdegrees(self, lam: float, streams: ReplicaStreams) -> Callable[[], int]:
-        return streams.poisson_counts(lam)
+    def outdegree(self, lam: float, streams: ReplicaStreams) -> int:
+        return streams.poisson_counts(lam).next()
+
+    def outdegrees(self, lam: float, streams: ReplicaStreams, size: int) -> np.ndarray:
+        return streams.poisson_counts(lam).take(size)
 
 
 @dataclass(frozen=True)
 class FixedOutdegree(_TokenUrnModel):
     label: str = "multinomial"
 
-    def outdegrees(self, lam: float, streams: ReplicaStreams) -> Callable[[], int]:
-        return itertools.repeat(int(lam)).__next__
+    def outdegree(self, lam: float, streams: ReplicaStreams) -> int:
+        return int(lam)
+
+    def outdegrees(self, lam: float, streams: ReplicaStreams, size: int) -> np.ndarray:
+        return np.full(size, int(lam), dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -447,13 +519,14 @@ def _grow(state: GraphState, marks: np.ndarray) -> None:
     """Append one vertex per fitness mark, in order, each after its edges.
 
     A custom kernel's vertices are drawn, applied and appended one mark at
-    a time. On a built-in model the marks are appended first: a draw reads
-    only vertices that own a token, and a vertex gets its token after its
-    own targets are drawn. The loop then only draws and appends tokens, each
-    step's targets and then the new vertex's own token. Impacts and the
+    a time. On a built-in model the marks come first: a draw reads only
+    vertices that own a token, and a vertex gets its token after its own
+    targets are drawn. :func:`_draw_steps` then only draws and appends
+    tokens, each step's targets and then the new vertex's own token, for
+    the outdegrees of up to ``_BLOCK`` steps at a time. Impacts and the
     total weight are updated once per call from the appended tokens: one
-    unit of impact each (``np.add.at``), and a sequential ``cumsum`` of their
-    fitnesses, which adds them in the order a running sum would.
+    unit of impact each (``np.add.at``), and a sequential ``cumsum`` of
+    their fitnesses, which adds them in the order a running sum would.
     """
     if isinstance(state.model, CustomKernel):
         for f in marks.tolist():
@@ -462,34 +535,122 @@ def _grow(state: GraphState, marks: np.ndarray) -> None:
         return
     tokens = state.tokens
     fitness = state.fitness
-    next_count = state.model.outdegrees(state.lam, state.streams)
-    uniform = state.streams.next_edge_uniform
-    append = tokens.append
-    log = state.edge_log
     start_n = state.n
-    n_stop = start_n + len(marks)
+    steps = len(marks)
     first = len(tokens)
-    edges = state.edge_count
-    impacts = state.total_impact
     fitness.frombytes(marks.tobytes())
-
-    for n in range(start_n, n_stop):
-        count = next_count()
-        if count:
-            mark = len(tokens)
-            _draw_targets(tokens, fitness, count, uniform, append)
-            if log is not None:
-                log.extend((n, i, c) for i, c in Counter(tokens[mark:]).items())
-        edges += count
-        impacts += count + 1
-        append(n)
+    edges = 0  # counted from the outdegrees, apart from the tokens, for the audit
+    for lo in range(0, steps, _BLOCK):
+        counts = state.model.outdegrees(state.lam, state.streams, min(_BLOCK, steps - lo))
+        edges += int(counts.sum())
+        _draw_steps(state, start_n + lo, counts)
 
     added = np.frombuffer(tokens[first:], dtype=np.intc)
-    state.impact.frombytes(bytes(8 * (n_stop - start_n)))  # own tokens are in `added`
+    state.impact.frombytes(bytes(8 * steps))  # own tokens are in `added`
     np.add.at(np.frombuffer(state.impact, dtype=np.int64), added, 1)
     terms = np.empty(added.size + 1)  # W, then the appended tokens' fitnesses
     terms[0] = state.total_weight
     np.frombuffer(fitness).take(added, out=terms[1:])
     state.total_weight = float(np.cumsum(terms, out=terms)[-1])
-    state.edge_count = edges
-    state.total_impact = impacts
+    state.edge_count += edges
+    state.total_impact += edges + steps
+
+
+def _draw_steps(state: GraphState, start: int, counts: np.ndarray) -> None:
+    """Steps ``start``, ``start + 1``, ...: step s appends its ``counts[s]``
+    targets to the urn, then the token of its own vertex.
+
+    The loop runs in ``_urn.c`` or, where no C compiler works, through
+    :func:`_draw_targets`, with the same tries on the same uniforms. The
+    edge log is rebuilt from each step's range of tokens.
+    """
+    tokens = state.tokens
+    fitness = state.fitness
+    first = len(tokens)
+    steps = len(counts)
+    urn = _compiled_urn()
+    if urn is None:
+        uniform = state.streams.edges.next
+        append = tokens.append
+        for n, count in enumerate(counts.tolist(), start):
+            _draw_targets(tokens, fitness, count, uniform, append)
+            append(n)
+    else:
+        counts = np.ascontiguousarray(counts, dtype=np.int64)  # what the C loop reads
+        tokens.frombytes(bytes(tokens.itemsize * (int(counts.sum()) + steps)))
+        stream = state.streams.edges
+        pos = (ctypes.c_long * 3)(0, 0, first)  # step, edge, token count
+        tokens_at, fitness_at = tokens.buffer_info()[0], fitness.buffer_info()[0]
+        while pos[0] < steps:
+            if len(stream.block) - stream.pos < 2:
+                stream.fill()
+            block, at = stream.block, stream.pos
+            uniforms = block.ctypes.data + block.itemsize * at
+            read = urn(tokens_at, fitness_at, counts.ctypes.data, steps, start,
+                       uniforms, len(block) - at, pos)
+            stream.advance(read)
+    if state.edge_log is not None:  # step n's targets end just before its own token
+        ends = first - 1 + np.cumsum(counts + 1)
+        for n, (count, end) in enumerate(zip(counts.tolist(), ends.tolist()), start):
+            if count:
+                targets = Counter(tokens[end - count : end])
+                state.edge_log.extend((n, i, c) for i, c in targets.items())
+
+
+_URN_SOURCE = Path(__file__).with_name("_urn.c")
+_urn_loop = None  # the compiled loop once built, False once it could not be
+
+
+def _compiled_urn():
+    """The loop of ``_urn.c``, compiled on first use; None where no compiler works."""
+    global _urn_loop
+    if _urn_loop is None:
+        try:
+            _urn_loop = _build_urn()
+        except (OSError, subprocess.CalledProcessError) as exc:
+            sys.stderr.write(  # one write, so that pool workers' lines stay whole
+                f"pafit: cannot build {_URN_SOURCE.name} ({exc}); "
+                "growing in pure Python, several times slower\n"
+            )
+            _urn_loop = False
+    return _urn_loop or None
+
+
+def _build_urn():
+    """Load ``__pycache__/_urn-<sha256 of the source>.so``, compiling and
+    publishing it atomically if absent; a private temporary directory
+    stands in when ``__pycache__`` is not writable. The flags keep every
+    floating-point operation as written, so the loop's results are bits."""
+    source = _URN_SOURCE.read_bytes()
+    name = f"_urn-{hashlib.sha256(source).hexdigest()}.so"
+
+    def load(directory: Path) -> ctypes.CDLL:
+        lib = directory / name
+        if not lib.exists():
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=directory)
+            os.close(fd)
+            try:
+                flags = ["-O2", "-ffp-contract=off", "-shared", "-fPIC"]
+                command = ["cc", *flags, "-o", tmp, str(_URN_SOURCE)]
+                subprocess.run(command, check=True, capture_output=True)
+                os.replace(tmp, lib)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        return ctypes.CDLL(str(lib))
+
+    try:
+        cache = _URN_SOURCE.parent / "__pycache__"
+        cache.mkdir(exist_ok=True)
+        lib = load(cache)
+    except OSError:
+        with tempfile.TemporaryDirectory() as tmp:
+            lib = load(Path(tmp))
+    loop = lib.urn_grow
+    loop.restype = ctypes.c_long
+    loop.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_long] * 2 + [
+        ctypes.c_void_p,
+        ctypes.c_long,
+        ctypes.POINTER(ctypes.c_long),
+    ]
+    return loop

@@ -1,15 +1,18 @@
 """Pinned digests of the ``sim/`` output tree and the ``check-kernel`` report.
 
 Hot-path rewrites of the sampler must not move one output bit. These tests
-run ``pafit simulate`` on three small configs, with one and with two
+run ``pafit simulate`` on four small configs, with one and with two
 workers, and compare a SHA-256 over the written tree with a pinned value.
 The two Poisson trees are pinned to the value the code wrote before the
 inverse-CDF replay and the batched token-urn bookkeeping; the ``pairs_demo``
 tree, which grows through a custom kernel, to the value written when custom
-kernels moved onto the token urn. The ``check-kernel`` report of every
-config model is pinned too; it moves with any of ``kernel_contract``'s
-constants or with the order of its draws. A deliberate output change
-updates the pinned values and says so in ``CHANGES.md``.
+kernels moved onto the token urn; the Poisson tree with ``edges.csv`` to the
+value written before the growth loop was compiled. The Poisson trees are
+written once more with the compiler disabled, through the Python loop. The
+``check-kernel`` report of every config model is pinned too; it moves with
+any of ``kernel_contract``'s constants or with the order of its draws. A
+deliberate output change updates the pinned values and says so in
+``CHANGES.md``.
 """
 
 import hashlib
@@ -17,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from pafit import cli
+from pafit import cli, simulator
 from pafit.config import ExperimentConfig
 
 TWO_POINT = {"type": "discrete", "points": [[0.5, 0.5], [1.0, 0.5]]}
@@ -27,11 +30,13 @@ PINNED = {
     "poisson_two_point": "07f3534ec48e90daf0484d4e5340a9b031bb2c8752ecb5c4793b638b7215faf8",
     "poisson_cubic_gap": "00e8722c6292c7507b39681e284d613905d9dd1198f8d91dec256564c1db146a",
     "pairs_demo_two_point": "82762a2c3024c83780b530819398518be7a93f9d7f8dff36467864dfccad4a1f",
+    "poisson_two_point_edge_log": "7e045001e0f8f40e91b353d0dd6f03f741dccec970d5c167192f68fdfee312d4",
 }
-SIM_CONFIGS = {  # name -> (model, fitness, lambda)
-    "poisson_two_point": ("poisson", TWO_POINT, 2.0),
-    "poisson_cubic_gap": ("poisson", CUBIC_GAP, 1.0),
-    "pairs_demo_two_point": ("pairs_demo", TWO_POINT, 2.0),
+SIM_CONFIGS = {  # name -> (model, fitness, lambda, edge_log)
+    "poisson_two_point": ("poisson", TWO_POINT, 2.0, False),
+    "poisson_cubic_gap": ("poisson", CUBIC_GAP, 1.0, False),
+    "pairs_demo_two_point": ("pairs_demo", TWO_POINT, 2.0, False),
+    "poisson_two_point_edge_log": ("poisson", TWO_POINT, 2.0, True),
 }
 PINNED_CHECK_KERNEL = {
     "poisson": "5ca233620cf52996eeca944218c095b017737867181cd852e1670d43d1d59e5a",
@@ -55,7 +60,7 @@ def tree_digest(root: Path) -> str:
 
 
 def config_for(name: str, out: Path) -> ExperimentConfig:
-    model, fitness, lam = SIM_CONFIGS[name]
+    model, fitness, lam, edge_log = SIM_CONFIGS[name]
     return ExperimentConfig.from_dict(
         {
             "schema_version": 1,
@@ -68,6 +73,7 @@ def config_for(name: str, out: Path) -> ExperimentConfig:
             "bins": 20,
             "max_tracked_impact": 10,
             "epsilon": 0.1,
+            "edge_log": edge_log,
             "out_dir": str(out),
         }
     )
@@ -79,6 +85,25 @@ def test_sim_tree_digest_is_pinned(name, workers, tmp_path):
     config = config_for(name, tmp_path)
     cli.cmd_simulate(config, out_dir=tmp_path, threads=workers)
     assert tree_digest(tmp_path / "sim") == PINNED[name]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pure_python_fallback_writes_the_pinned_poisson_trees(
+    workers, tmp_path, monkeypatch, capfd
+):
+    def no_compiler():
+        raise FileNotFoundError("no C compiler")
+
+    monkeypatch.setattr(simulator, "_build_urn", no_compiler)
+    monkeypatch.setattr(simulator, "_urn_loop", None)
+    for name in sorted(name for name in PINNED if SIM_CONFIGS[name][0] == "poisson"):
+        out = tmp_path / name
+        cli.cmd_simulate(config_for(name, out), out_dir=out, threads=workers)
+        assert tree_digest(out / "sim") == PINNED[name]
+    lines = capfd.readouterr().err.splitlines()
+    assert lines and all("growing in pure Python" in line for line in lines)
+    if workers == 1:
+        assert len(lines) == 1  # one line per process
 
 
 @pytest.mark.parametrize("model", sorted(PINNED_CHECK_KERNEL))

@@ -1,10 +1,18 @@
 """Simulator tests: construction, one-step laws, bookkeeping, determinism,
 and the token urn, which every model draws from: its draws against a naive
-linear-scan oracle over the impacts, and the urn under built-in and
-custom-kernel growth."""
+linear-scan oracle over the impacts, the urn under built-in and
+custom-kernel growth, and the compiled growth loop against the Python one."""
 
+import itertools
 import math
+import os
+import shutil
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -411,3 +419,133 @@ class TestRun:
         state = S.new_graph(uniform, 1.0, S.CustomKernel(draw), seed=41)
         snaps = S.run(state, 500, bins=5, k_max=3)
         assert snaps[-1].total_impact == 2 * 500 - 1
+
+
+class GivenCounts:
+    """A built-in model stand-in whose outdegrees are fixed in advance."""
+
+    def __init__(self, counts):
+        self.counts = np.asarray(counts, dtype=np.int64)
+
+    def outdegrees(self, lam, streams, size):
+        taken, self.counts = self.counts[:size], self.counts[size:]
+        return taken
+
+
+def cut_stream(seed, cuts, ties):
+    """Uniforms in blocks of the even sizes ``2 * cuts`` (cyclically); 30% of
+    the acceptance uniforms, on average, are set to one of the values ``ties``.
+    Returns the stream and a one-element list counting the values served."""
+    rng = np.random.default_rng(seed)
+    sizes = itertools.cycle(cuts)
+    served = [0]
+
+    def refill():
+        u = rng.random(2 * next(sizes))
+        if ties:
+            tie = rng.random(u.size // 2) < 0.3
+            u[1::2][tie] = rng.choice(ties, tie.sum())
+        served[0] += u.size
+        return u
+
+    return S._Stream(refill), served
+
+
+def reference_growth_and_draws(fitness, lam, seed, plan):
+    """Pure-Python growth and one-step draws of a Poisson state: channel 1
+    read as one flat sequence and channel 2 in Poisson blocks, each through
+    a single reader, and the urn as a list. ``plan`` holds ("run", n) and
+    ("draw", repeats) items; returns the tokens and the drawn targets."""
+
+    def reader(channel, block):
+        seq = np.random.SeedSequence(entropy=seed, spawn_key=(0, channel))
+        rng = np.random.Generator(np.random.PCG64(seq))
+        return itertools.chain.from_iterable(iter(lambda: block(rng).tolist(), None)).__next__
+
+    uniform = reader(1, lambda rng: rng.random(S._BLOCK))
+    count = reader(2, lambda rng: rng.poisson(lam, S._BLOCK))
+    tokens, drawn = [0], []
+
+    def draw():
+        size, targets = len(tokens), []
+        for _ in range(count()):
+            i = tokens[int(uniform() * size)]
+            while uniform() >= fitness[i]:
+                i = tokens[int(uniform() * size)]
+            targets.append(i)
+        return targets
+
+    n = 1
+    for kind, arg in plan:
+        if kind == "draw":
+            drawn += [draw() for _ in range(arg)]
+        while kind == "run" and n < arg:
+            tokens += draw() + [n]
+            n += 1
+    return tokens, drawn
+
+
+FITNESS = st.one_of(st.sampled_from([1.0, 0.5, 0.25, 1e-3]), st.floats(1e-3, 1.0))
+
+
+class TestCompiledUrn:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        old=st.lists(st.tuples(FITNESS, st.integers(1, 10)), min_size=1, max_size=20),
+        new=st.lists(st.tuples(FITNESS, st.integers(0, 10)), min_size=1, max_size=30),
+        cuts=st.lists(st.integers(1, 24), min_size=1, max_size=8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_compiled_loop_matches_python_loop(self, old, new, cuts, seed):
+        # the same growth call, compiled and through _draw_targets, on blocks
+        # cut small so that the compiled loop stops and resumes mid-step
+        if S._compiled_urn() is None:
+            pytest.skip("no working C compiler")
+        fitness, impact = zip(*old)
+        marks = np.array([f for f, _ in new])
+        ties = sorted({f for f in fitness + tuple(marks.tolist()) if f < 1.0})
+        grown = []
+        for compiled in (True, False):
+            state = S.GraphState.from_arrays(fitness, impact, 1.0, None)
+            state.model = GivenCounts([c for _, c in new])
+            stream, served = cut_stream(seed, cuts, ties)
+            state.streams = SimpleNamespace(edges=stream)
+            urn = S._compiled_urn() if compiled else None
+            with mock.patch.object(S, "_compiled_urn", lambda: urn):
+                S._grow(state, marks)
+            read = served[0] - (len(stream.block) - stream.pos)
+            grown.append((list(state.tokens), list(state.impact), state.total_weight.hex(), read))
+        assert grown[0] == grown[1]
+
+    def test_draws_and_growth_share_one_stream_per_channel(self, two_point):
+        # one-step draws between growth calls read where growth stopped, on
+        # both channels, across block boundaries of each; the growth call to
+        # 9000 takes its outdegrees in two chunks
+        plan = [("draw", 2), ("run", 40), ("draw", 3), ("run", 41), ("draw", 1),
+                ("run", 9000), ("draw", 4), ("run", 12000), ("draw", 3)]
+        state = S.new_graph(two_point, 2.0, S.PoissonOutdegree(), seed=71)
+        drawn = []
+        for kind, arg in plan:
+            if kind == "run":
+                S.run(state, arg, schedule=[arg], bins=5, k_max=3)
+            else:
+                drawn += [state.model.draw_increments(state, state.streams) for _ in range(arg)]
+        tokens, targets = reference_growth_and_draws(list(state.fitness), 2.0, 71, plan)
+        assert list(state.tokens) == tokens
+        assert drawn == [Counter(t) for t in targets]
+
+    def test_packaged_module_finds_its_source(self, tmp_path):
+        # an installed pafit without _urn.c would silently grow in pure Python
+        root = Path(__file__).resolve().parents[1]
+        shutil.copy(root / "pyproject.toml", tmp_path)
+        skip = shutil.ignore_patterns("__pycache__")
+        shutil.copytree(root / "src", tmp_path / "src", ignore=skip)
+        setup = [sys.executable, "-c", "from setuptools import setup; setup()"]
+        build = setup + ["-q", "build_py", "--build-lib", str(tmp_path / "lib")]
+        subprocess.run(build, cwd=tmp_path, check=True, capture_output=True)
+        probe = "from pafit import simulator as S; print(S._URN_SOURCE.is_file(), S._URN_SOURCE)"
+        env = {**os.environ, "PYTHONPATH": str(tmp_path / "lib")}
+        out = subprocess.run(
+            [sys.executable, "-c", probe], cwd=tmp_path, env=env, capture_output=True, text=True
+        )
+        assert out.stdout.split() == ["True", str(tmp_path / "lib" / "pafit" / "_urn.c")]
