@@ -79,7 +79,7 @@ def cmd_theory(config: ExperimentConfig, *, out_dir: Path | None = None) -> dict
     gamma_bins = summary.gamma.bin_masses(edges)
 
     grid = [(j + 0.5) / 200 for j in range(200)]
-    density = [float(summary.gamma.density_at(f)) for f in grid]
+    density = [summary.gamma.density_at(f) for f in grid]
 
     payload = {
         "schema_version": 1,

@@ -21,6 +21,7 @@ The demo kernels are deliberate contract violators used by the
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -112,8 +113,8 @@ class ExperimentConfig:
     edge_log: bool = False
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ConfigError("lambda must be positive")
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ConfigError("lambda must be positive and finite")
         if self.n_target < 1:
             raise ConfigError("n_target must be >= 1")
         if self.replicas < 1:

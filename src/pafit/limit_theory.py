@@ -43,7 +43,7 @@ def _gap_integral(dist: FitnessDistribution, theta: float, tol: float) -> float:
 def classify_phase(dist: FitnessDistribution, lam: float) -> Phase:
     """Fit-get-richer iff int f/(1-f) dmu >= lambda (divergence counts)."""
     measures.require_normalized(dist)
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise MeasureError("lambda must be positive")
     boundary = integrate(dist, measures.f_over_one_minus_f())
     return Phase.FIT_GET_RICHER if boundary >= lam else Phase.BOSE_EINSTEIN
@@ -57,7 +57,7 @@ def solve_theta_star(dist: FitnessDistribution, lam: float, *, tol: float = 1e-1
     returned value satisfies |integral(theta) - lambda| <= tol.
     """
     measures.require_normalized(dist)
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise MeasureError("lambda must be positive")
     if tol <= 0.0:
         raise MeasureError("tol must be positive")
@@ -98,7 +98,7 @@ def map_T(dist: FitnessDistribution, lam: float, theta: float) -> float:
     towards theta_star; exposed for fixed-point diagnostics.
     """
     measures.require_normalized(dist)
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise MeasureError("lambda must be positive")
     if theta < 1.0:
         raise MeasureError("theta must be >= 1")
@@ -180,7 +180,7 @@ def limit_gamma_k(dist: FitnessDistribution, theta_star: float, k: int) -> Limit
     if theta_star < 1.0:
         raise MeasureError("theta_star must be >= 1")
     factor = measures.impact_factor(theta_star, k)
-    atom = dist.atom_at_one * float(factor(1.0)) if dist.atom_at_one else 0.0
+    atom = dist.atom_at_one * factor(1.0) if dist.atom_at_one else 0.0
     return LimitMeasure(dist, factor, atom)
 
 
@@ -199,7 +199,7 @@ def pk_sum_with_tail(
     """
     partial = sum(limit_pk(dist, theta_star, k) for k in range(1, k_max + 1))
     surv = measures.impact_survival(theta_star, k_max + 1)
-    atom = dist.atom_at_one * float(surv(1.0)) if dist.atom_at_one else 0.0
+    atom = dist.atom_at_one * surv(1.0) if dist.atom_at_one else 0.0
     tail = integrate(dist, surv.without_point_one()) + atom
     return partial, tail
 
@@ -216,7 +216,7 @@ def impact_mean_sum_with_tail(
     tail_g = measures.impact_mean_tail(theta_star, k_max + 1)
     atom = 0.0
     if dist.atom_at_one:
-        value = float(tail_g(1.0))
+        value = tail_g(1.0)
         if math.isinf(value):
             return partial, math.inf
         atom = dist.atom_at_one * value

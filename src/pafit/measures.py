@@ -89,36 +89,35 @@ class Integrand:
             return self.theta == 1.0
         return False
 
-    def __call__(self, f):
-        f = np.asarray(f, dtype=float)
+    def __call__(self, f: float) -> float:
         if self.kind == "poly":
-            out = _polyval(self.coeffs, f)
-        elif self.kind == "rational":
+            return _polyval(self.coeffs, f)
+        if self.kind == "rational":
             den = self.theta - f
-            num = _polyval(self.coeffs, f)
-            with np.errstate(divide="ignore"):
-                out = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), np.inf)
-        elif self.kind == "impact_factor":
-            out = self.theta / (self.theta + self.k * f) * _yule_survival(f, self.theta, self.k)
-        elif self.kind == "impact_survival":
-            out = _yule_survival(f, self.theta, self.k)
-        elif self.kind == "impact_mean_tail":
+            return _polyval(self.coeffs, f) / den if den > 0.0 else math.inf
+        if self.kind == "impact_factor":
+            return self.theta / (self.theta + self.k * f) * _yule_survival(f, self.theta, self.k)
+        if self.kind == "impact_survival":
+            return _yule_survival(f, self.theta, self.k)
+        if self.kind == "impact_mean_tail":
             gap = self.theta - f
-            with np.errstate(divide="ignore"):
-                mean_factor = np.where(gap > 0.0, self.theta / np.where(gap > 0.0, gap, 1.0), np.inf)
-            out = self.k * _yule_survival(f, self.theta, self.k) * mean_factor
-        else:  # pragma: no cover - constructors forbid it
-            raise MeasureError(f"unknown integrand kind {self.kind!r}")
-        return out if out.ndim else float(out)
+            mean_factor = self.theta / gap if gap > 0.0 else math.inf
+            return self.k * _yule_survival(f, self.theta, self.k) * mean_factor
+        raise MeasureError(f"unknown integrand kind {self.kind!r}")  # pragma: no cover
 
 
-def _polyval(coeffs: Sequence[float], f):
-    return npoly.polyval(f, list(coeffs) if coeffs else [0.0])
+def _polyval(coeffs: Sequence[float], f: float) -> float:
+    """Horner's rule on one float in ``npoly.polyval``'s operation order."""
+    coeffs = coeffs or (0.0,)
+    acc = coeffs[-1] + f * 0
+    for c in coeffs[-2::-1]:
+        acc = c + acc * f
+    return acc
 
 
-def _yule_survival(f, theta: float, k: int):
+def _yule_survival(f: float, theta: float, k: int) -> float:
     """prod_{i=1}^{k-1} i*f / (i*f + theta); equals P(K >= k) at rate theta/f."""
-    out = np.ones_like(np.asarray(f, dtype=float))
+    out = 1.0
     for i in range(1, k):
         out = out * (i * f) / (i * f + theta)
     return out
@@ -173,6 +172,8 @@ def impact_survival(theta_star: float, k: int) -> Integrand:
     """P(K >= k) under the Yule-Simon impact law; tail of the pmf sum."""
     if k < 1:
         raise MeasureError("impact level k must be >= 1")
+    if theta_star < 1.0:
+        raise MeasureError("theta_star must be >= 1")
     return Integrand("impact_survival", theta=float(theta_star), k=int(k))
 
 
@@ -180,6 +181,8 @@ def impact_mean_tail(theta_star: float, k: int) -> Integrand:
     """sum_{j >= k} j * pmf(j) under the Yule-Simon impact law."""
     if k < 1:
         raise MeasureError("impact level k must be >= 1")
+    if theta_star < 1.0:
+        raise MeasureError("theta_star must be >= 1")
     return Integrand("impact_mean_tail", theta=float(theta_star), k=int(k))
 
 
@@ -251,7 +254,7 @@ class PiecewiseDensity:
             raise MeasureError("atom mass must lie in [0, 1]")
         for (a, b), piece in zip(zip(edges, edges[1:]), coeffs):
             grid = np.linspace(a, b, 257)
-            if np.min(_polyval(piece, grid)) < -1e-9:
+            if np.min(npoly.polyval(grid, piece)) < -1e-9:
                 raise MeasureError(f"density negative on ({a}, {b})")
         body = sum(
             _poly_segment_integral(piece, a, b)
@@ -279,7 +282,7 @@ class PiecewiseDensity:
             if a < 1.0 <= b:
                 value = _polyval(piece, 1.0)
                 scale = max((abs(c) for c in piece), default=0.0)
-                return 0.0 if abs(value) <= 1e-12 * max(scale, 1.0) else float(value)
+                return 0.0 if abs(value) <= 1e-12 * max(scale, 1.0) else value
         return 0.0
 
 
@@ -338,7 +341,8 @@ def quantile(dist: FitnessDistribution, u):
 
     Every representation consumes exactly one uniform per sample. Discrete
     laws invert the CDF in ascending value order; densities place the atom
-    at 1 (when present) on the top quantile range [1 - atom, 1).
+    at 1 (when present) on the top quantile range [1 - atom, 1); the uniform
+    law returns 1 - u, which decreases in u.
     """
     u = np.asarray(u, dtype=float)
     scalar = u.ndim == 0
@@ -557,7 +561,7 @@ def _quad_segment(density, lo: float, hi: float, g: Integrand, tol: float) -> fl
     epsrel = max(tol, 1e-13)
     if hi < 1.0:
         def fn(f):
-            return float(g(f) * density(f, 1.0 - f))
+            return g(f) * density(f, 1.0 - f)
 
         value, _ = scipy_integrate.quad(
             fn, lo, hi, epsabs=tol, epsrel=epsrel, limit=_QUAD_LIMIT
@@ -575,11 +579,11 @@ def _quad_segment(density, lo: float, hi: float, g: Integrand, tol: float) -> fl
             return 0.0
         if g.kind == "rational":
             # p(f)/(theta-f) * e^{-t}; theta - f = (theta-1) + e^{-t} exactly
-            return float(_polyval(g.coeffs, f)) * w / (theta_gap + w) * rho
+            return _polyval(g.coeffs, f) * w / (theta_gap + w) * rho
         if g.kind == "impact_mean_tail":
-            surv = float(_yule_survival(f, g.theta, g.k))
+            surv = _yule_survival(f, g.theta, g.k)
             return g.k * surv * g.theta / (theta_gap + w) * w * rho
-        return float(g(f)) * w * rho
+        return g(f) * w * rho
 
     value, _ = scipy_integrate.quad(
         fn_t, t0, np.inf, epsabs=tol, epsrel=epsrel, limit=_QUAD_LIMIT

@@ -64,6 +64,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             small_config(tmp_path, **{"lambda": 1.5})
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_non_finite_lambda_rejected(self, tmp_path, lam):
+        with pytest.raises(ConfigError):
+            small_config(tmp_path, model={"type": "poisson"}, **{"lambda": lam})
+
     def test_dirac_fitness_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             small_config(tmp_path, fitness={"type": "discrete", "points": [[1.0, 1.0]]})
@@ -294,6 +299,22 @@ class TestMain:
         path = tmp_path / "bad.json"
         path.write_text('{"schema_version": 1}')
         assert cli.main(["theory", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("lam", ["NaN", "Infinity"])
+    def test_non_finite_lambda_exits_2(self, tmp_path, lam):
+        # json reads NaN and Infinity; neither may reach the sampler
+        data = small_config(
+            tmp_path,
+            model={"type": "poisson"},
+            fitness={"type": "density", "edges": [0.0, 1.0], "coeffs": [[3.0, -6.0, 3.0]]},
+        ).to_dict()
+        text = json.dumps(data).replace('"lambda": 2.0', f'"lambda": {lam}')
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        out = tmp_path / "cli_out"
+        argv = ["simulate", "--config", str(path), "--out", str(out), "--threads", "1"]
+        assert cli.main(argv) == 2
+        assert not out.exists()
 
     def test_replicas_flag_is_validated_as_config(self, tmp_path):
         path = tmp_path / "config.json"

@@ -59,6 +59,13 @@ class TestPhase:
         with pytest.raises(M.MeasureError):
             LT.classify_phase(raw, 1.0)
 
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan])
+    def test_nonpositive_or_nan_lambda_rejected(self, cubic_gap, lam):
+        for solve in (LT.classify_phase, LT.solve_theta_star,
+                      lambda dist, lam: LT.map_T(dist, lam, 1.5)):
+            with pytest.raises(M.MeasureError):
+                solve(cubic_gap, lam)
+
 
 class TestThetaStar:
     def test_two_point_against_quadratic_root(self, two_point):

@@ -252,6 +252,89 @@ class TestSampling:
         assert np.array_equal(M._piecewise_quantile(dist, u), reference_quantile(u))
 
 
+DIPPING = M.PiecewiseDensity((0.0, 1.0), ((3.0 - 9e-10, -12.0, 12.0),), atom_at_one=9e-10)
+
+
+@st.composite
+def piecewise_laws(draw, atom=st.sampled_from([0.0, 0.25, 0.4])):
+    """Normalised densities of 1-3 pieces with nonnegative coefficients;
+    the top edge is 1 or lies below it."""
+    pieces = draw(st.integers(1, 3))
+    inner = draw(st.lists(st.sampled_from([0.125, 0.3, 0.5, 0.7]),
+                          min_size=pieces - 1, max_size=pieces - 1, unique=True))
+    edges = [0.0, *sorted(inner), draw(st.sampled_from([1.0, 0.8]))]
+    raw = [
+        [draw(st.floats(0.1, 5.0))] + draw(st.lists(st.floats(0.0, 5.0), max_size=3))
+        for _ in range(pieces)
+    ]
+    atom = draw(atom)
+    mass = sum(M._poly_segment_integral(c, a, b) for a, b, c in zip(edges, edges[1:], raw))
+    scale = (1.0 - atom) / mass
+    return M.PiecewiseDensity(edges, [[c * scale for c in piece] for piece in raw], atom)
+
+
+@st.composite
+def discrete_laws(draw):
+    values = draw(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=5, unique=True))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=len(values), max_size=len(values)))
+    return M.FiniteDiscrete([(v, w / sum(weights)) for v, w in zip(values, weights)])
+
+
+def critical_uniforms(dist) -> np.ndarray:
+    """Uniforms in [0, 1) at and one ulp around each cumulative mass that
+    the inverse CDF switches on, plus a dense run around 1/2."""
+    if isinstance(dist, M.FiniteDiscrete):
+        cuts = np.cumsum(dist.values_masses()[1])
+    elif isinstance(dist, M.PiecewiseDensity):
+        cuts = frozen_reference(dist)[0](np.asarray(dist.edges, dtype=float))
+        cuts = np.append(cuts, 1.0 - dist.atom_at_one)
+    else:
+        cuts = np.array([0.0])
+    u = np.concatenate([cuts, np.nextafter(cuts, 0.0), np.nextafter(cuts, 1.0),
+                        np.linspace(0.5 - 1e-9, 0.5 + 1e-9, 41)])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+class TestQuantileProperties:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        dist=st.one_of(piecewise_laws(), discrete_laws(), st.just(DIPPING), st.just(M.Uniform01())),
+        u=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=40),
+    )
+    def test_quantile_is_monotone_in_u(self, dist, u):
+        # a bisection is monotone in its target for any fixed computed CDF,
+        # so this holds where the CDF itself dips (DIPPING)
+        u = np.sort(np.concatenate([u, critical_uniforms(dist)]))
+        out = M.quantile(dist, u)
+        if isinstance(dist, M.Uniform01):
+            # the uniform law draws 1 - u, which lands in (0, 1], and falls with u
+            assert np.array_equal(out, np.maximum(1.0 - u, np.nextafter(0.0, 1.0)))
+            assert np.all(np.diff(out) <= 0.0)
+        else:
+            assert np.all(np.diff(out) >= 0.0)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(dist=piecewise_laws(atom=st.sampled_from([9e-10, 0.25, 0.4])), data=st.data())
+    def test_atom_takes_the_top_quantile_range(self, dist, data):
+        body = 1.0 - dist.atom_at_one
+        above = data.draw(st.floats(body, 1.0, exclude_max=True), label="above")
+        assert M.quantile(dist, np.array([body, above])).tolist() == [1.0, 1.0]
+        below = np.nextafter(body, 0.0)
+        value = M.quantile(dist, below)
+        assert value == M._piecewise_quantile(dist, np.array([below]))[0]
+        assert 0.0 < value <= dist.edges[-1]
+        if dist.edges[-1] < 1.0:
+            assert value < 1.0
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(dist=discrete_laws())
+    def test_discrete_cumulative_mass_maps_to_the_next_value(self, dist):
+        values, masses = dist.values_masses()
+        cum = np.cumsum(masses)[:-1]
+        assert np.array_equal(M.quantile(dist, cum), values[1:])
+        assert np.array_equal(M.quantile(dist, np.nextafter(cum, 0.0)), values[:-1])
+
+
 # ---------------------------------------------------------------------------
 # integration
 # ---------------------------------------------------------------------------
@@ -439,7 +522,65 @@ class TestImpactFactors:
         value = float(M.impact_mean_tail(theta, k0)(f))
         assert value == pytest.approx(total, rel=1e-9)
 
+    @pytest.mark.parametrize("make", [M.impact_factor, M.impact_survival, M.impact_mean_tail])
+    def test_theta_below_one_rejected(self, make):
+        # theta >= 1 keeps every divisor of the Yule-Simon factors positive
+        with pytest.raises(M.MeasureError):
+            make(0.5, 3)
+
     def test_mean_tail_k1_is_yule_simon_mean(self):
         # sum_j j * pmf(j) = rho / (rho - 1) = theta / (theta - f)
         g = M.impact_mean_tail(2.0, 1)
         assert g(0.5) == pytest.approx(2.0 / 1.5, abs=1e-14)
+
+
+class TestIntegrandFloatPath:
+    """Every catalog integrand maps a float to a float with numpy's IEEE
+    operations in numpy's order, so its bits equal the same formula on a
+    float64 array: ``npoly.polyval``'s Horner steps from ``c[-1] + x * 0``,
+    the survival product's ``out * (i * f) / (i * f + theta)`` and ``inf``
+    where the gap to theta is <= 0."""
+
+    @staticmethod
+    def numpy_reference(g, f):
+        from numpy.polynomial import polynomial as npoly
+
+        x = np.array([f])
+
+        def survival():
+            out = np.ones_like(x)
+            for i in range(1, g.k):
+                out = out * (i * x) / (i * x + g.theta)
+            return out
+
+        def over_gap(num):
+            gap = g.theta - x
+            return np.where(gap > 0.0, num / np.where(gap > 0.0, gap, 1.0), np.inf)
+
+        if g.kind == "poly":
+            out = npoly.polyval(x, list(g.coeffs) if g.coeffs else [0.0])
+        elif g.kind == "rational":
+            out = over_gap(npoly.polyval(x, list(g.coeffs) if g.coeffs else [0.0]))
+        elif g.kind == "impact_factor":
+            out = g.theta / (g.theta + g.k * x) * survival()
+        elif g.kind == "impact_survival":
+            out = survival()
+        else:
+            out = g.k * survival() * over_gap(g.theta)
+        return float(out[0])
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(
+            ["poly", "rational", "impact_factor", "impact_survival", "impact_mean_tail"]
+        ),
+        coeffs=st.lists(st.one_of(st.just(-0.0), st.floats(-10.0, 10.0)), max_size=5),
+        theta=st.one_of(st.just(1.0), st.floats(1.0, 8.0)),
+        k=st.integers(1, 60),
+        f=st.one_of(st.sampled_from([0.0, 1.0, 5e-324]), st.floats(0.0, 1.0)),
+    )
+    def test_float_path_has_the_bits_of_numpy(self, kind, coeffs, theta, k, f):
+        g = M.Integrand(kind, coeffs=tuple(coeffs), theta=theta, k=k)
+        value = g(f)
+        assert type(value) is float
+        assert value.hex() == self.numpy_reference(g, f).hex()

@@ -1,4 +1,5 @@
-"""Pinned digests of the ``sim/`` output tree and the ``check-kernel`` report.
+"""Pinned digests of the ``sim/`` and ``theory/`` output trees and the
+``check-kernel`` report.
 
 Hot-path rewrites of the sampler must not move one output bit. These tests
 run ``pafit simulate`` on four small configs, with one and with two
@@ -9,6 +10,10 @@ tree, which grows through a custom kernel, to the value written when custom
 kernels moved onto the token urn; the Poisson tree with ``edges.csv`` to the
 value written before the growth loop was compiled. The Poisson trees are
 written once more with the compiler disabled, through the Python loop. The
+``theory/`` trees of five laws are pinned to the values written before the
+integrands moved from numpy 0-d arrays to plain floats: discrete sums, the
+condensation phase's t-substitution, a density with an atom at 1, a Beta
+body integrated against its numpy density, and the uniform law. The
 ``check-kernel`` report of every config model is pinned too; it moves with
 any of ``kernel_contract``'s constants or with the order of its draws. A
 deliberate output change updates the pinned values and says so in
@@ -25,6 +30,10 @@ from pafit.config import ExperimentConfig
 
 TWO_POINT = {"type": "discrete", "points": [[0.5, 0.5], [1.0, 0.5]]}
 CUBIC_GAP = {"type": "density", "edges": [0.0, 1.0], "coeffs": [[3.0, -6.0, 3.0]]}
+CUBIC_GAP_ATOM = {
+    "type": "density", "edges": [0.0, 1.0], "coeffs": [[2.7, -5.4, 2.7]], "atom_at_one": 0.1
+}
+BETA_2_3 = {"type": "beta", "alpha": 2.0, "beta": 3.0}
 
 PINNED = {
     "poisson_two_point": "07f3534ec48e90daf0484d4e5340a9b031bb2c8752ecb5c4793b638b7215faf8",
@@ -37,6 +46,20 @@ SIM_CONFIGS = {  # name -> (model, fitness, lambda, edge_log)
     "poisson_cubic_gap": ("poisson", CUBIC_GAP, 1.0, False),
     "pairs_demo_two_point": ("pairs_demo", TWO_POINT, 2.0, False),
     "poisson_two_point_edge_log": ("poisson", TWO_POINT, 2.0, True),
+}
+PINNED_THEORY = {
+    "two_point_lam2": "f98588d1386823e95be1b0d0641b248e96d64448460e36a41e12c3c31c7fc2f6",
+    "cubic_gap_lam1": "f20799aeeaaf8c5bcde8a8845fbb41c5cd110fc48bc1e5690ea39e33bb606c3d",
+    "cubic_gap_atom_lam2": "8bb57734500a4a7b6d094d77a916a0babb805878ecaeac9928eb05f9ea499e78",
+    "beta_2_3_lam2": "26b9f8e4257ff0fa4e45c2436458b27373d467dadf9239d36431e18a9daa9266",
+    "uniform_lam1": "939a7e0007f3a8586fe56f486fe026752961363633e0a01e7608300b0fa66f40",
+}
+THEORY_CONFIGS = {  # name -> (fitness, lambda)
+    "two_point_lam2": (TWO_POINT, 2.0),
+    "cubic_gap_lam1": (CUBIC_GAP, 1.0),
+    "cubic_gap_atom_lam2": (CUBIC_GAP_ATOM, 2.0),
+    "beta_2_3_lam2": (BETA_2_3, 2.0),
+    "uniform_lam1": ({"type": "uniform"}, 1.0),
 }
 PINNED_CHECK_KERNEL = {
     "poisson": "5ca233620cf52996eeca944218c095b017737867181cd852e1670d43d1d59e5a",
@@ -59,8 +82,7 @@ def tree_digest(root: Path) -> str:
     return digest.hexdigest()
 
 
-def config_for(name: str, out: Path) -> ExperimentConfig:
-    model, fitness, lam, edge_log = SIM_CONFIGS[name]
+def small_config(out: Path, model: str, fitness: dict, lam: float, edge_log=False):
     return ExperimentConfig.from_dict(
         {
             "schema_version": 1,
@@ -77,6 +99,10 @@ def config_for(name: str, out: Path) -> ExperimentConfig:
             "out_dir": str(out),
         }
     )
+
+
+def config_for(name: str, out: Path) -> ExperimentConfig:
+    return small_config(out, *SIM_CONFIGS[name])
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -104,6 +130,13 @@ def test_pure_python_fallback_writes_the_pinned_poisson_trees(
     assert lines and all("growing in pure Python" in line for line in lines)
     if workers == 1:
         assert len(lines) == 1  # one line per process
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_THEORY))
+def test_theory_tree_digest_is_pinned(name, tmp_path):
+    config = small_config(tmp_path, "poisson", *THEORY_CONFIGS[name])
+    cli.cmd_theory(config, out_dir=tmp_path)
+    assert tree_digest(tmp_path / "theory") == PINNED_THEORY[name]
 
 
 @pytest.mark.parametrize("model", sorted(PINNED_CHECK_KERNEL))
