@@ -125,22 +125,25 @@ def _replica_worker(
 ) -> tuple[int, list[EmpiricalSnapshot], list | None]:
     config_dict, replica = payload
     config = ExperimentConfig.from_dict(config_dict)
-    state = simulator.new_graph(
-        config.distribution(),
-        config.lam,
-        config.attachment_model(),
-        config.base_seed,
-        replica=replica,
-        edge_log=config.edge_log,
-    )
-    snapshots = simulator.run(
-        state,
-        config.n_target,
-        schedule=config.schedule(),
-        bins=config.bins,
-        k_max=config.max_tracked_impact,
-        bin_edges=config.bin_edges(),
-    )
+    try:
+        state = simulator.new_graph(
+            config.distribution(),
+            config.lam,
+            config.attachment_model(),
+            config.base_seed,
+            replica=replica,
+            edge_log=config.edge_log,
+        )
+        snapshots = simulator.run(
+            state,
+            config.n_target,
+            schedule=config.schedule(),
+            bins=config.bins,
+            k_max=config.max_tracked_impact,
+            bin_edges=config.bin_edges(),
+        )
+    except (simulator.AuditError, MeasureError) as exc:
+        raise type(exc)(f"replica {replica}: {exc}") from exc
     edge_log = list(state.edge_log) if state.edge_log is not None else None
     return replica, snapshots, edge_log
 
@@ -182,8 +185,10 @@ def cmd_simulate(
     """Run the replicas (process pool), write per-replica and aggregate files.
 
     Returns the cross-replica aggregate per checkpoint size. Any invariant
-    audit failure propagates (the CLI exits nonzero).
+    audit failure propagates, naming its replica (the CLI exits nonzero).
     """
+    if threads is not None and threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {threads}")
     out = (out_dir or resolve_out_dir(config, None)) / "sim"
     jobs = [(config.to_dict(), r) for r in range(config.replicas)]
     workers = min(threads or os.cpu_count() or 1, config.replicas)

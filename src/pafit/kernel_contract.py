@@ -14,7 +14,8 @@ An attachment model is admissible when its one-step edge increments
 Verification is statistical, not formal: a frozen state is resampled
 through the model's transition, which is exactly the conditional law the
 conditions constrain; :func:`sample_counts` is the only code that does
-so. A1, A2, A3 and A5 are statistics over one sample per size. A1 uses
+so, for a built-in model in one batch through the growth loop. A1, A2, A3
+and A5 are statistics over one sample per size. A1 uses
 two-sided z-tests at significance 1e-3 with Bonferroni correction; A3/A5
 use one-sided 3-standard-error covariance bounds; A2 and A4 are
 asymptotic statements and are tested as trends across a grid of sizes n
@@ -39,6 +40,7 @@ from .simulator import (
     CustomKernel,
     GraphState,
     ReplicaStreams,
+    frozen_targets,
     new_graph,
     run,
 )
@@ -120,19 +122,26 @@ def sample_counts(
     """Resample the frozen one-step transition ``trials`` times.
 
     Row t holds the increments of the ``tracked`` vertices in draw t. A
-    custom kernel gets one view of the frozen state for all its draws.
+    custom kernel gets one view of the frozen state for all its draws; a
+    built-in model takes all the outdegrees at once and draws all their
+    targets as one step of the growth loop (:func:`frozen_targets`).
     """
-    if isinstance(model, CustomKernel):
-        draw, args = model.increments, (state.view(), streams.kernel_rng)
-    else:
-        draw, args = model.draw_increments, (state, streams)
     slot = {v: j for j, v in enumerate(tracked)}
     out = np.zeros((trials, len(tracked)), dtype=np.int32)
-    for t in range(trials):
-        for i, c in draw(*args).items():
-            j = slot.get(i)
-            if j is not None:
-                out[t, j] = c
+    if isinstance(model, CustomKernel):
+        view, rng = state.view(), streams.kernel_rng
+        for t in range(trials):
+            for i, c in model.increments(view, rng).items():
+                j = slot.get(i)
+                if j is not None:
+                    out[t, j] = c
+        return out
+    counts = model.outdegrees(state.lam, streams, trials)
+    column = np.full(state.n, -1, dtype=np.intc)
+    column[list(slot)] = list(slot.values())
+    hits = column[frozen_targets(state, counts, streams.edges)]
+    at = np.flatnonzero(hits >= 0)  # trial t's targets follow those of trials < t
+    np.add.at(out, (np.searchsorted(np.cumsum(counts), at, side="right"), hits[at]), 1)
     return out
 
 

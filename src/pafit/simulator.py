@@ -29,13 +29,15 @@ at lambda 2, about 2.5 on the density 3(1-f)^2 at lambda 1). The loop of
 per try, one append per target. For the built-in models it runs as the C
 function of ``_urn.c``, compiled on first use and loaded with ``ctypes``;
 it makes the Python loop's double multiply, truncation and compare, so
-its output is the same bits. Where no C compiler works, the Python loop
-runs instead. Impacts and W are updated from the appended tokens once per
-call, by numpy, in the order a running sum would add them. A replica's
-growth costs about 0.15 µs per edge on the two-point law and 0.25 µs on
-the density, against 1.0-1.5 and 1.9-2.4 µs with the Python loop (2-CPU
-Xeon, traced ``perfbench`` runs). Custom kernels draw from the same urn
-through ``KernelView.pick``, on channel 3, one vertex at a time, in Python.
+its output is the same bits. Where no C compiler works, its line-for-line
+Python twin runs instead. The same loop resamples a frozen state's
+transitions for ``kernel_contract``. Impacts and W are updated from the
+appended tokens once per call, by numpy, in the order a running sum would
+add them. A replica's growth costs about 0.15 µs per edge on the
+two-point law and 0.25 µs on the density, against 1.0-1.5 and 1.9-2.4 µs
+with the Python loop (2-CPU Xeon, traced ``perfbench`` runs). Custom
+kernels draw from the same urn through ``KernelView.pick``, on channel 3,
+one vertex at a time, in Python.
 
 Randomness is organised in four documented channels per replica so that a
 value's position in a stream never depends on internal batching:
@@ -44,15 +46,14 @@ PCG64 generator, with channel 0 = fitness inverse-CDF uniforms (one per
 vertex), channel 1 = edge-target uniforms (two per try: the first picks the
 token, the second decides acceptance), channel 2 = outdegree counts,
 channel 3 = custom-kernel draws. Channels 1 and 2 are each read from one
-block and one position by every consumer: one-step draws, the outdegrees
-of a growth call and the compiled loop.
+block and one position by every consumer: the outdegrees of a growth call
+or of resampled transitions (:func:`frozen_targets`) and the growth loop.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
-import itertools
 import math
 import os
 import subprocess
@@ -79,49 +80,26 @@ class AuditError(RuntimeError):
 class _Stream:
     """One random channel, read in numpy blocks from one position.
 
-    Single reads (``next``, a list iterator over the block at C speed),
-    array reads (``take``) and the compiled growth loop (``block``, ``pos``
-    and ``advance``) all move the same position, so a value's place in the
-    stream never depends on which of them read it.
+    Array reads (``take``) and the growth loop (``block``, ``pos`` and
+    ``advance``) move the same position, so a value's place in the stream
+    never depends on which of them read it.
     """
 
-    __slots__ = ("_refill", "block", "_start", "_mirror", "next")
+    __slots__ = ("_refill", "block", "pos")
 
     def __init__(self, refill: Callable[[], np.ndarray]):
         self._refill = refill
         self.block = np.empty(0)
-        self._start = 0  # the position, until a single read mirrors the block
-        self._mirror = None  # iterator over block.tolist(); it then holds the position
-        self.next: Callable[[], object] = itertools.chain.from_iterable(self._mirrors()).__next__
-
-    @property
-    def pos(self) -> int:
-        if self._mirror is None:
-            return self._start
-        return len(self.block) - self._mirror.__length_hint__()
+        self.pos = 0
 
     def advance(self, k: int) -> None:
-        if self._mirror is None:
-            self._start += k
-        else:
-            self._mirror.__setstate__(self.pos + k)
+        self.pos += k
 
     def fill(self) -> None:
         """Start a new block after the values not yet read."""
         rest = self.block[self.pos :]
-        if self._mirror is not None:  # exhausted, so `next` moves on to the new block
-            self._mirror.__setstate__(len(self.block))
-            self._mirror = None
         self.block = np.concatenate((rest, self._refill())) if rest.size else self._refill()
-        self._start = 0
-
-    def _mirrors(self):
-        while True:
-            if self.pos == len(self.block):
-                self.fill()
-            self._mirror = iter(self.block.tolist())
-            self._mirror.__setstate__(self._start)
-            yield self._mirror
+        self.pos = 0
 
     def take(self, size: int) -> np.ndarray:
         parts = []
@@ -193,33 +171,17 @@ class KernelView:
     pick: Callable[[np.random.Generator], int]
 
 
-class _TokenUrnModel:
-    """One-step draw shared by the built-in models; see the module docstring."""
-
-    def draw_increments(self, state: "GraphState", streams: ReplicaStreams) -> dict[int, int]:
-        targets: list[int] = []
-        count = self.outdegree(state.lam, streams)
-        _draw_targets(state.tokens, state.fitness, count, streams.edges.next, targets.append)
-        return Counter(targets)
-
-
 @dataclass(frozen=True)
-class PoissonOutdegree(_TokenUrnModel):
+class PoissonOutdegree:
     label: str = "poisson"
-
-    def outdegree(self, lam: float, streams: ReplicaStreams) -> int:
-        return streams.poisson_counts(lam).next()
 
     def outdegrees(self, lam: float, streams: ReplicaStreams, size: int) -> np.ndarray:
         return streams.poisson_counts(lam).take(size)
 
 
 @dataclass(frozen=True)
-class FixedOutdegree(_TokenUrnModel):
+class FixedOutdegree:
     label: str = "multinomial"
-
-    def outdegree(self, lam: float, streams: ReplicaStreams) -> int:
-        return int(lam)
 
     def outdegrees(self, lam: float, streams: ReplicaStreams, size: int) -> np.ndarray:
         return np.full(size, int(lam), dtype=np.int64)
@@ -231,9 +193,6 @@ class CustomKernel:
 
     draw: Callable[[KernelView, np.random.Generator], Mapping[int, int]]
     label: str = "custom"
-
-    def draw_increments(self, state: "GraphState", streams: ReplicaStreams) -> dict[int, int]:
-        return self.increments(state.view(), streams.kernel_rng)
 
     def increments(self, view: KernelView, rng: np.random.Generator) -> dict[int, int]:
         """One checked draw; a frozen state's view may serve many."""
@@ -501,10 +460,9 @@ def _draw_targets(
     uniform: Callable[[], float],
     out: Callable[[int], object],
 ) -> None:
-    """The edge-sampling loop: ``count`` token-urn draws against the first
-    ``len(tokens)`` tokens, two uniforms per try (channel 1 for the built-in
-    models, channel 3 for ``KernelView.pick``), each target passed to
-    ``out``. The size is read once, so ``out`` may append to
+    """``count`` token-urn draws against the first ``len(tokens)`` tokens,
+    two uniforms per try, each target passed to ``out``: ``KernelView.pick``'s
+    draw on channel 3. The size is read once, so ``out`` may append to
     ``tokens`` itself (``int(u * size)`` stays below ``size`` for every
     double u < 1)."""
     size = len(tokens)
@@ -523,14 +481,15 @@ def _grow(state: GraphState, marks: np.ndarray) -> None:
     vertices that own a token, and a vertex gets its token after its own
     targets are drawn. :func:`_draw_steps` then only draws and appends
     tokens, each step's targets and then the new vertex's own token, for
-    the outdegrees of up to ``_BLOCK`` steps at a time. Impacts and the
-    total weight are updated once per call from the appended tokens: one
-    unit of impact each (``np.add.at``), and a sequential ``cumsum`` of
-    their fitnesses, which adds them in the order a running sum would.
+    the outdegrees of up to ``_BLOCK`` steps at a time; the edge log is
+    rebuilt from each step's range of tokens. Impacts and the total weight
+    are updated once per call from the appended tokens: one unit of impact
+    each (``np.add.at``), and a sequential ``cumsum`` of their fitnesses,
+    which adds them in the order a running sum would.
     """
     if isinstance(state.model, CustomKernel):
         for f in marks.tolist():
-            state.apply_increments(state.model.draw_increments(state, state.streams))
+            state.apply_increments(state.model.increments(state.view(), state.streams.kernel_rng))
             state._add_vertex(f)
         return
     tokens = state.tokens
@@ -543,7 +502,14 @@ def _grow(state: GraphState, marks: np.ndarray) -> None:
     for lo in range(0, steps, _BLOCK):
         counts = state.model.outdegrees(state.lam, state.streams, min(_BLOCK, steps - lo))
         edges += int(counts.sum())
-        _draw_steps(state, start_n + lo, counts)
+        begin = len(tokens)
+        _draw_steps(tokens, fitness, counts, start_n + lo, state.streams.edges)
+        if state.edge_log is not None:  # step n's targets end just before its own token
+            ends = begin - 1 + np.cumsum(counts + 1)
+            for n, (count, end) in enumerate(zip(counts.tolist(), ends.tolist()), start_n + lo):
+                if count:
+                    targets = Counter(tokens[end - count : end])
+                    state.edge_log.extend((n, i, c) for i, c in targets.items())
 
     added = np.frombuffer(tokens[first:], dtype=np.intc)
     state.impact.frombytes(bytes(8 * steps))  # own tokens are in `added`
@@ -556,45 +522,59 @@ def _grow(state: GraphState, marks: np.ndarray) -> None:
     state.total_impact += edges + steps
 
 
-def _draw_steps(state: GraphState, start: int, counts: np.ndarray) -> None:
-    """Steps ``start``, ``start + 1``, ...: step s appends its ``counts[s]``
-    targets to the urn, then the token of its own vertex.
+def frozen_targets(state: GraphState, counts: np.ndarray, stream: _Stream) -> np.ndarray:
+    """The targets of ``len(counts)`` transitions of the frozen ``state``, in
+    order, transition t drawing ``counts[t]``: one step of the growth loop
+    on a copy of the tokens, so each draw sees the urn as it is and reads
+    the uniforms of ``stream`` that one transition at a time would read."""
+    tokens = state.tokens[:]
+    _draw_steps(tokens, state.fitness, np.array([counts.sum()]), state.n, stream)
+    return np.frombuffer(tokens, dtype=np.intc)[len(state.tokens) : -1]
 
-    The loop runs in ``_urn.c`` or, where no C compiler works, through
-    :func:`_draw_targets`, with the same tries on the same uniforms. The
-    edge log is rebuilt from each step's range of tokens.
+
+def _draw_steps(tokens: array, fitness: array, counts, start: int, stream: _Stream) -> None:
+    """Steps ``start``, ``start + 1``, ...: step s appends its ``counts[s]``
+    targets to ``tokens``, then the token of its own vertex.
+
+    The loop runs in ``_urn.c`` or, where no C compiler works, in its twin
+    :func:`_urn_grow`, on ``stream``'s block from its position, until the
+    steps are done or fewer than two uniforms are left in the block.
     """
-    tokens = state.tokens
-    fitness = state.fitness
-    first = len(tokens)
+    counts = np.ascontiguousarray(counts, dtype=np.int64)  # what the C loop reads
     steps = len(counts)
-    urn = _compiled_urn()
-    if urn is None:
-        uniform = state.streams.edges.next
-        append = tokens.append
-        for n, count in enumerate(counts.tolist(), start):
-            _draw_targets(tokens, fitness, count, uniform, append)
-            append(n)
-    else:
-        counts = np.ascontiguousarray(counts, dtype=np.int64)  # what the C loop reads
-        tokens.frombytes(bytes(tokens.itemsize * (int(counts.sum()) + steps)))
-        stream = state.streams.edges
-        pos = (ctypes.c_long * 3)(0, 0, first)  # step, edge, token count
-        tokens_at, fitness_at = tokens.buffer_info()[0], fitness.buffer_info()[0]
-        while pos[0] < steps:
-            if len(stream.block) - stream.pos < 2:
-                stream.fill()
-            block, at = stream.block, stream.pos
-            uniforms = block.ctypes.data + block.itemsize * at
-            read = urn(tokens_at, fitness_at, counts.ctypes.data, steps, start,
-                       uniforms, len(block) - at, pos)
-            stream.advance(read)
-    if state.edge_log is not None:  # step n's targets end just before its own token
-        ends = first - 1 + np.cumsum(counts + 1)
-        for n, (count, end) in enumerate(zip(counts.tolist(), ends.tolist()), start):
-            if count:
-                targets = Counter(tokens[end - count : end])
-                state.edge_log.extend((n, i, c) for i, c in targets.items())
+    pos = (ctypes.c_long * 3)(0, 0, len(tokens))  # step, edge, token count
+    tokens.frombytes(bytes(tokens.itemsize * (int(counts.sum()) + steps)))
+    loop = _compiled_urn() or _urn_grow
+    while pos[0] < steps:
+        if len(stream.block) - stream.pos < 2:
+            stream.fill()
+        stream.advance(loop(tokens, fitness, counts, start, stream.block[stream.pos :], pos))
+
+
+def _urn_grow(tokens: array, fitness: array, counts, first: int, u: np.ndarray, pos) -> int:
+    """``urn_grow`` of ``_urn.c``, line for line, in Python."""
+    counts, u, nu = counts.tolist(), u.tolist(), len(u)
+    step, edge, ntok = pos
+    k = 0
+    while step < len(counts):
+        size = ntok - edge
+        while edge < counts[step]:
+            while True:
+                if nu - k < 2:
+                    pos[:] = step, edge, ntok
+                    return k
+                i = tokens[int(u[k] * size)]
+                k += 2
+                if not u[k - 1] >= fitness[i]:
+                    break
+            tokens[ntok] = i
+            ntok += 1
+            edge += 1
+        tokens[ntok] = first + step
+        ntok += 1
+        step, edge = step + 1, 0
+    pos[:] = step, edge, ntok
+    return k
 
 
 _URN_SOURCE = Path(__file__).with_name("_urn.c")
@@ -646,11 +626,16 @@ def _build_urn():
     except OSError:
         with tempfile.TemporaryDirectory() as tmp:
             lib = load(Path(tmp))
-    loop = lib.urn_grow
-    loop.restype = ctypes.c_long
-    loop.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_long] * 2 + [
+    urn = lib.urn_grow
+    urn.restype = ctypes.c_long
+    urn.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_long] * 2 + [
         ctypes.c_void_p,
         ctypes.c_long,
         ctypes.POINTER(ctypes.c_long),
     ]
+
+    def loop(tokens, fitness, counts, first, u, pos):  # the arguments of _urn_grow
+        address = tokens.buffer_info()[0], fitness.buffer_info()[0], counts.ctypes.data
+        return urn(*address, len(counts), first, u.ctypes.data, len(u), pos)
+
     return loop

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from pafit import cli, empirics
+from pafit import cli, empirics, simulator
 from pafit.config import ConfigError, ExperimentConfig
 from pafit.measures import MeasureError
 
@@ -325,6 +325,34 @@ class TestMain:
         assert not out.exists()  # rejected before anything is written
         assert cli.main(argv + ["--replicas", "1"]) == 0
         assert json.loads((out / "sim/summary.json").read_text())["replicas"] == 1
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exits_2(self, tmp_path, threads):
+        path = tmp_path / "config.json"
+        small_config(tmp_path, n_target=300).save(path)
+        out = tmp_path / "cli_out"
+        argv = ["simulate", "--config", str(path), "--out", str(out), "--threads", threads]
+        assert cli.main(argv) == 2
+        assert not out.exists()  # rejected before anything is written
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("error", [simulator.AuditError, MeasureError])
+    def test_failing_replica_is_named(self, tmp_path, monkeypatch, capsys, error, threads):
+        def audit(state, fbar_track):
+            if state.streams.replica == 1:
+                raise error("boom")
+
+        monkeypatch.setattr(simulator, "_audit", audit)
+        config = small_config(tmp_path, n_target=300)
+        with pytest.raises(error, match=r"^replica 1: boom$"):
+            cli.cmd_simulate(config, out_dir=tmp_path / "lib_out", threads=threads)
+        path = tmp_path / "config.json"
+        config.save(path)
+        out = tmp_path / "cli_out"
+        argv = ["simulate", "--config", str(path), "--out", str(out), "--threads", str(threads)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: replica 1: boom\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("trials", [0, 1])
     def test_check_kernel_needs_two_trials(self, tmp_path, trials):

@@ -8,8 +8,9 @@ The two Poisson trees are pinned to the value the code wrote before the
 inverse-CDF replay and the batched token-urn bookkeeping; the ``pairs_demo``
 tree, which grows through a custom kernel, to the value written when custom
 kernels moved onto the token urn; the Poisson tree with ``edges.csv`` to the
-value written before the growth loop was compiled. The Poisson trees are
-written once more with the compiler disabled, through the Python loop. The
+value written before the growth loop was compiled. The Poisson trees and
+the built-in models' ``check-kernel`` reports are written once more with
+the compiler disabled, through the loop's Python twin. The
 ``theory/`` trees of five laws are pinned to the values written before the
 integrands moved from numpy 0-d arrays to plain floats: discrete sums, the
 condensation phase's t-substitution, a density with an atom at 1, a Beta
@@ -113,15 +114,21 @@ def test_sim_tree_digest_is_pinned(name, workers, tmp_path):
     assert tree_digest(tmp_path / "sim") == PINNED[name]
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_pure_python_fallback_writes_the_pinned_poisson_trees(
-    workers, tmp_path, monkeypatch, capfd
-):
-    def no_compiler():
+@pytest.fixture
+def no_compiler(monkeypatch):
+    """Growth and resampling in a process where ``_urn.c`` cannot be built."""
+
+    def fail():
         raise FileNotFoundError("no C compiler")
 
-    monkeypatch.setattr(simulator, "_build_urn", no_compiler)
+    monkeypatch.setattr(simulator, "_build_urn", fail)
     monkeypatch.setattr(simulator, "_urn_loop", None)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pure_python_fallback_writes_the_pinned_poisson_trees(
+    workers, tmp_path, no_compiler, capfd
+):
     for name in sorted(name for name in PINNED if SIM_CONFIGS[name][0] == "poisson"):
         out = tmp_path / name
         cli.cmd_simulate(config_for(name, out), out_dir=out, threads=workers)
@@ -139,8 +146,7 @@ def test_theory_tree_digest_is_pinned(name, tmp_path):
     assert tree_digest(tmp_path / "theory") == PINNED_THEORY[name]
 
 
-@pytest.mark.parametrize("model", sorted(PINNED_CHECK_KERNEL))
-def test_check_kernel_report_digest_is_pinned(model, tmp_path):
+def check_kernel_digest(model: str, out: Path) -> str:
     config = ExperimentConfig.from_dict(
         {
             "schema_version": 1,
@@ -153,9 +159,23 @@ def test_check_kernel_report_digest_is_pinned(model, tmp_path):
             "bins": 20,
             "max_tracked_impact": 10,
             "epsilon": 0.1,
-            "out_dir": str(tmp_path),
+            "out_dir": str(out),
         }
     )
-    cli.cmd_check_kernel(config, out_dir=tmp_path, ns=(100, 1000), trials=2000)
-    report = (tmp_path / "check_kernel" / "report.json").read_bytes()
-    assert hashlib.sha256(report).hexdigest() == PINNED_CHECK_KERNEL[model]
+    cli.cmd_check_kernel(config, out_dir=out, ns=(100, 1000), trials=2000)
+    return hashlib.sha256((out / "check_kernel" / "report.json").read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("model", sorted(PINNED_CHECK_KERNEL))
+def test_check_kernel_report_digest_is_pinned(model, tmp_path):
+    assert check_kernel_digest(model, tmp_path) == PINNED_CHECK_KERNEL[model]
+
+
+def test_pure_python_fallback_writes_the_pinned_builtin_check_kernel_reports(
+    tmp_path, no_compiler, capfd
+):
+    # the Python twin of the growth loop serves resampling as well as growth
+    for model in ("multinomial", "poisson"):
+        assert check_kernel_digest(model, tmp_path / model) == PINNED_CHECK_KERNEL[model]
+    lines = capfd.readouterr().err.splitlines()
+    assert len(lines) == 1 and "growing in pure Python" in lines[0]

@@ -1,7 +1,8 @@
 """Simulator tests: construction, one-step laws, bookkeeping, determinism,
 and the token urn, which every model draws from: its draws against a naive
 linear-scan oracle over the impacts, the urn under built-in and
-custom-kernel growth, and the compiled growth loop against the Python one."""
+custom-kernel growth, the compiled growth loop against its Python twin, and
+batched resampling of a frozen transition against one draw at a time."""
 
 import itertools
 import math
@@ -116,9 +117,8 @@ class TestStep:
         state = S.new_graph(uniform, lam, S.PoissonOutdegree(), seed=7)
         trials = 100_000
         counts = np.zeros(12, dtype=int)
-        for _ in range(trials):
-            incs = state.model.draw_increments(state, state.streams)
-            counts[min(sum(incs.values()), 11)] += 1
+        rows = K.sample_counts(state.model, state, state.streams, trials, range(state.n))
+        np.add.at(counts, np.minimum(rows.sum(axis=1), 11), 1)  # every vertex tracked
         expected = np.array(
             [stats.poisson.pmf(k, lam) for k in range(11)] + [stats.poisson.sf(10, lam)]
         ) * trials
@@ -230,10 +230,7 @@ class TestTokenUrn:
         lam, trials = 3.0, 20_000
         state = S.GraphState.from_arrays(self.FITNESS, self.IMPACT, lam=lam, model=model)
         streams = S.ReplicaStreams(3)
-        counts = np.zeros(state.n)
-        for _ in range(trials):
-            for i, c in model.draw_increments(state, streams).items():
-                counts[i] += c
+        counts = K.sample_counts(model, state, streams, trials, range(state.n)).sum(axis=0)
         weights = np.asarray(self.FITNESS) * np.asarray(self.IMPACT)
         expected = trials * lam * weights / weights.sum()
         chi2 = ((counts - expected) ** 2 / expected).sum()
@@ -292,14 +289,14 @@ class TestTokenUrn:
         assert (cut.total_impact, cut.edge_count) == (whole.total_impact, whole.edge_count)
 
     @pytest.mark.parametrize("model", [S.PoissonOutdegree(), S.FixedOutdegree()])
-    def test_draw_increments_leaves_a_grown_state_frozen(self, cubic_gap, model):
+    def test_resampling_leaves_a_grown_state_frozen(self, cubic_gap, model):
         state = S.new_graph(cubic_gap, 2.0, model, seed=59, edge_log=True)
         S.run(state, 500, bins=5, k_max=3)
         before = (
             list(state.tokens), list(state.fitness), list(state.impact),
             state.total_weight, state.total_impact, state.edge_count, list(state.edge_log),
         )
-        drawn = sum(sum(model.draw_increments(state, state.streams).values()) for _ in range(50))
+        drawn = K.sample_counts(model, state, state.streams, 50, range(state.n)).sum()
         assert drawn > 0
         after = (
             list(state.tokens), list(state.fitness), list(state.impact),
@@ -432,48 +429,61 @@ class GivenCounts:
         return taken
 
 
-def cut_stream(seed, cuts, ties):
-    """Uniforms in blocks of the even sizes ``2 * cuts`` (cyclically); 30% of
-    the acceptance uniforms, on average, are set to one of the values ``ties``.
-    Returns the stream and a one-element list counting the values served."""
+def cut_stream(seed, sizes, ties):
+    """Uniforms in blocks of the given ``sizes`` (cyclically); 30% of the
+    acceptance uniforms (the odd places of the stream), on average, are set
+    to one of the values ``ties``. Returns the stream and a one-element list
+    counting the values served."""
     rng = np.random.default_rng(seed)
-    sizes = itertools.cycle(cuts)
+    sizes = itertools.cycle(sizes)
     served = [0]
 
     def refill():
-        u = rng.random(2 * next(sizes))
+        u = rng.random(next(sizes))
+        accept = u[1 - served[0] % 2 :: 2]
         if ties:
-            tie = rng.random(u.size // 2) < 0.3
-            u[1::2][tie] = rng.choice(ties, tie.sum())
+            tie = rng.random(accept.size) < 0.3
+            accept[tie] = rng.choice(ties, tie.sum())
         served[0] += u.size
         return u
 
     return S._Stream(refill), served
 
 
+def flat_reader(refill):
+    """One value at a time from the blocks that ``refill`` returns."""
+    return itertools.chain.from_iterable(iter(lambda: refill().tolist(), None)).__next__
+
+
+def reference_draw(tokens, fitness, count, uniform):
+    """``count`` token-urn draws against ``tokens`` as it is, one uniform at a time."""
+    size, targets = len(tokens), []
+    for _ in range(count):
+        i = tokens[int(uniform() * size)]
+        while uniform() >= fitness[i]:
+            i = tokens[int(uniform() * size)]
+        targets.append(i)
+    return targets
+
+
 def reference_growth_and_draws(fitness, lam, seed, plan):
-    """Pure-Python growth and one-step draws of a Poisson state: channel 1
-    read as one flat sequence and channel 2 in Poisson blocks, each through
-    a single reader, and the urn as a list. ``plan`` holds ("run", n) and
-    ("draw", repeats) items; returns the tokens and the drawn targets."""
+    """Pure-Python growth and resampled transitions of a Poisson state:
+    channel 1 read as one flat sequence and channel 2 in Poisson blocks,
+    each through a single reader, and the urn as a list. ``plan`` holds
+    ("run", n) and ("draw", repeats) items; returns the tokens and the
+    drawn targets."""
 
     def reader(channel, block):
         seq = np.random.SeedSequence(entropy=seed, spawn_key=(0, channel))
         rng = np.random.Generator(np.random.PCG64(seq))
-        return itertools.chain.from_iterable(iter(lambda: block(rng).tolist(), None)).__next__
+        return flat_reader(lambda: block(rng))
 
     uniform = reader(1, lambda rng: rng.random(S._BLOCK))
     count = reader(2, lambda rng: rng.poisson(lam, S._BLOCK))
     tokens, drawn = [0], []
 
     def draw():
-        size, targets = len(tokens), []
-        for _ in range(count()):
-            i = tokens[int(uniform() * size)]
-            while uniform() >= fitness[i]:
-                i = tokens[int(uniform() * size)]
-            targets.append(i)
-        return targets
+        return reference_draw(tokens, fitness, count(), uniform)
 
     n = 1
     for kind, arg in plan:
@@ -497,8 +507,8 @@ class TestCompiledUrn:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_compiled_loop_matches_python_loop(self, old, new, cuts, seed):
-        # the same growth call, compiled and through _draw_targets, on blocks
-        # cut small so that the compiled loop stops and resumes mid-step
+        # the same growth call, compiled and through its Python twin, on
+        # blocks cut small so that the compiled loop stops and resumes mid-step
         if S._compiled_urn() is None:
             pytest.skip("no working C compiler")
         fitness, impact = zip(*old)
@@ -508,7 +518,7 @@ class TestCompiledUrn:
         for compiled in (True, False):
             state = S.GraphState.from_arrays(fitness, impact, 1.0, None)
             state.model = GivenCounts([c for _, c in new])
-            stream, served = cut_stream(seed, cuts, ties)
+            stream, served = cut_stream(seed, [2 * c for c in cuts], ties)
             state.streams = SimpleNamespace(edges=stream)
             urn = S._compiled_urn() if compiled else None
             with mock.patch.object(S, "_compiled_urn", lambda: urn):
@@ -517,10 +527,48 @@ class TestCompiledUrn:
             grown.append((list(state.tokens), list(state.impact), state.total_weight.hex(), read))
         assert grown[0] == grown[1]
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        old=st.lists(st.tuples(FITNESS, st.integers(1, 10)), min_size=1, max_size=20),
+        outdegrees=st.lists(st.integers(0, 10), min_size=2, max_size=30),
+        picks=st.lists(st.integers(0, 19), min_size=1, max_size=8),
+        sizes=st.lists(st.integers(1, 49), min_size=1, max_size=8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batched_resampling_matches_one_trial_at_a_time(
+        self, old, outdegrees, picks, sizes, seed
+    ):
+        # blocks of odd sizes end between a try's two uniforms, so the loop
+        # stops mid-try and resumes on the next block
+        fitness, impact = zip(*old)
+        ties = sorted({f for f in fitness if f < 1.0})
+        tracked = list(dict.fromkeys(v % len(old) for v in picks))
+        for urn in (S._compiled_urn(), None):
+            state = S.GraphState.from_arrays(fitness, impact, 1.0, None)
+            stream, served = cut_stream(seed, sizes, ties)
+            streams = SimpleNamespace(edges=stream)
+            model, trials = GivenCounts(outdegrees), len(outdegrees)
+            with mock.patch.object(S, "_compiled_urn", lambda: urn):
+                counts = K.sample_counts(model, state, streams, trials, tracked)
+            reads = [0]
+            values = flat_reader(cut_stream(seed, sizes, ties)[0]._refill)
+
+            def uniform():
+                reads[0] += 1
+                return values()
+
+            expected = np.zeros_like(counts)
+            for t, count in enumerate(outdegrees):
+                targets = Counter(reference_draw(list(state.tokens), fitness, count, uniform))
+                expected[t] = [targets[v] for v in tracked]
+            assert counts.tolist() == expected.tolist()
+            assert served[0] - (len(stream.block) - stream.pos) == reads[0]
+            assert list(state.tokens) == [i for i, z in enumerate(impact) for _ in range(z)]
+
     def test_draws_and_growth_share_one_stream_per_channel(self, two_point):
-        # one-step draws between growth calls read where growth stopped, on
-        # both channels, across block boundaries of each; the growth call to
-        # 9000 takes its outdegrees in two chunks
+        # transitions resampled between growth calls read where growth
+        # stopped, on both channels, across block boundaries of each; the
+        # growth call to 9000 takes its outdegrees in two chunks
         plan = [("draw", 2), ("run", 40), ("draw", 3), ("run", 41), ("draw", 1),
                 ("run", 9000), ("draw", 4), ("run", 12000), ("draw", 3)]
         state = S.new_graph(two_point, 2.0, S.PoissonOutdegree(), seed=71)
@@ -529,7 +577,8 @@ class TestCompiledUrn:
             if kind == "run":
                 S.run(state, arg, schedule=[arg], bins=5, k_max=3)
             else:
-                drawn += [state.model.draw_increments(state, state.streams) for _ in range(arg)]
+                rows = K.sample_counts(state.model, state, state.streams, arg, range(state.n))
+                drawn += [Counter({i: int(c) for i, c in enumerate(row) if c}) for row in rows]
         tokens, targets = reference_growth_and_draws(list(state.fitness), 2.0, 71, plan)
         assert list(state.tokens) == tokens
         assert drawn == [Counter(t) for t in targets]
