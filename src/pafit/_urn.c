@@ -9,16 +9,25 @@
    compare each, so the results are the same bits; build with
    -ffp-contract=off and without -ffast-math to keep them so.
 
+   With a non-null impact, each appended token also counts one unit of its
+   owner's impact (the step's own vertex starts at 1) and adds the owner's
+   fitness to the running total weight *weight, in the order the tokens are
+   appended: the additions of a sequential sum over them, so the same bits.
+   A null impact leaves both alone (resampling a frozen state).
+
    The loop stops at a try boundary when fewer than two of the nu uniforms
-   are left. pos holds (step, edge, token count) on entry and exit, so the
-   caller can pass the next uniforms and resume. Returns the uniforms read. */
+   are left. pos holds (step, edge, token count) on entry and exit, and
+   *weight the running sum, so the caller can pass the next uniforms and
+   resume. Returns the uniforms read. */
 
 #include <stdint.h>
 
-long urn_grow(int32_t *tokens, const double *fitness, const int64_t *counts,
-              long steps, long first, const double *u, long nu, long *pos)
+long urn_grow(int32_t *tokens, const double *fitness, int64_t *impact, double *weight,
+              const int64_t *counts, long steps, long first, const double *u, long nu,
+              long *pos)
 {
     long step = pos[0], edge = pos[1], ntok = pos[2], k = 0;
+    double w = *weight;
     for (; step < steps; step++, edge = 0) {
         long size = ntok - edge;
         for (; edge < counts[step]; edge++) {
@@ -30,12 +39,22 @@ long urn_grow(int32_t *tokens, const double *fitness, const int64_t *counts,
                 k += 2;
             } while (u[k - 1] >= fitness[i]);
             tokens[ntok++] = i;
+            if (impact) {
+                impact[i]++;
+                w += fitness[i];
+            }
         }
-        tokens[ntok++] = (int32_t)(first + step);
+        long v = first + step;
+        tokens[ntok++] = (int32_t)v;
+        if (impact) {
+            impact[v] = 1;
+            w += fitness[v];
+        }
     }
 out:
     pos[0] = step;
     pos[1] = edge;
     pos[2] = ntok;
+    *weight = w;
     return k;
 }

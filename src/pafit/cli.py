@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import empirics, kernel_contract, limit_theory, measures, simulator
+from . import empirics, limit_theory, measures, simulator
 from .config import ConfigError, ExperimentConfig
 from .empirics import EmpiricalSnapshot, ReplicaAggregate
 from .measures import MeasureError
@@ -342,6 +342,8 @@ def cmd_check_kernel(
 ) -> dict:
     """Run the attachment-contract suite for the configured model; ``ns``
     and ``trials`` default to ``run_contract_suite``'s."""
+    from . import kernel_contract  # loads scipy.stats, which no other command needs
+
     out = (out_dir or resolve_out_dir(config, None)) / "check_kernel"
     sizes = {key: value for key, value in (("ns", ns), ("trials", trials)) if value is not None}
     report = kernel_contract.run_contract_suite(

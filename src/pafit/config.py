@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import kernel_contract, measures, simulator
+from . import measures, simulator
 
 SCHEMA_VERSION = 1
 
@@ -69,6 +69,8 @@ def build_model(spec: dict, lam: float) -> simulator.AttachmentModel:
         return simulator.PoissonOutdegree()
     if kind == "multinomial":
         return simulator.FixedOutdegree()
+    from . import kernel_contract  # the demo kernels' module loads scipy.stats
+
     if kind == "pairs_demo":
         return kernel_contract.pair_emitting_kernel(lam)
     if kind == "uniform_demo":

@@ -23,6 +23,7 @@ from . import simulator
 from .measures import FiniteDiscrete, FitnessDistribution, MeasureError
 
 EDGE_SHIFT = math.sqrt(2.0) * 1e-9  # irrational-ish nudge applied on atom collisions
+_BIN_CHUNK = 1 << 16  # vertices binned or counted per numpy call
 
 # criteria thresholds (fixed, not configurable: they define the acceptance gate)
 FBAR_REL_TOL = 0.02
@@ -86,28 +87,52 @@ class EmpiricalSnapshot:
         return self.impact_counts[:-1].sum(axis=1) / self.n
 
 
-def snapshot(state, *, bins: int = 100, k_max: int = 10, bin_edges=None) -> EmpiricalSnapshot:
-    """Single pass over the vertices of a state."""
+def index_dtype(edges) -> np.dtype:
+    """The narrowest unsigned dtype that holds a bin index under ``edges``."""
+    return np.min_scalar_type(max(len(edges) - 2, 0))
+
+
+def fitness_bins(fitness, edges, out: np.ndarray | None = None) -> np.ndarray:
+    """Bin index b of each fitness f, edges[b] < f <= edges[b + 1], into
+    ``out`` (by default a new array of :func:`index_dtype`). Binned in
+    chunks, so the search's int64 indices stay small."""
+    edges = np.asarray(edges, dtype=float)
+    if len(edges) < 2 or edges[0] != 0.0 or edges[-1] < 1.0:
+        raise MeasureError("bin edges must start at 0 and cover (0, 1]")
+    fitness = np.asarray(fitness, dtype=float)
+    if out is None:
+        out = np.empty(len(fitness), dtype=index_dtype(edges))
+    for lo in range(0, len(fitness), _BIN_CHUNK):
+        part = np.searchsorted(edges, fitness[lo : lo + _BIN_CHUNK], side="left")
+        part -= 1
+        out[lo : lo + _BIN_CHUNK] = np.clip(part, 0, len(edges) - 2, out=part)
+    return out
+
+
+def snapshot(state, edges, bin_index: np.ndarray, *, k_max: int = 10) -> EmpiricalSnapshot:
+    """Single pass over the vertices of a state. ``bin_index`` holds at
+    least the state's vertices' bins under ``edges`` (:func:`fitness_bins`),
+    in vertex order; a run bins each vertex once for all its snapshots."""
     if k_max < 1:
         raise MeasureError("k_max must be >= 1")
-    edges = np.asarray(bin_edges, dtype=float) if bin_edges is not None else uniform_edges(bins)
-    if edges[0] != 0.0 or edges[-1] < 1.0:
-        raise MeasureError("bin edges must start at 0 and cover (0, 1]")
     n_bins = len(edges) - 1
     fitness = np.asarray(state.fitness)
     impact = np.asarray(state.impact, dtype=np.int64)
     n = len(fitness)
+    bin_idx = bin_index[:n]
 
-    bin_idx = np.searchsorted(edges, fitness, side="left") - 1
-    bin_idx = np.clip(bin_idx, 0, n_bins - 1)
-
-    gamma_counts = np.bincount(bin_idx, weights=impact, minlength=n_bins).astype(np.int64)
-    k_idx = np.minimum(impact, k_max + 1) - 1
-    impact_counts = (
-        np.bincount(k_idx * n_bins + bin_idx, minlength=(k_max + 1) * n_bins)
-        .reshape(k_max + 1, n_bins)
-        .astype(np.int64)
-    )
+    # counted in chunks, so that the int64 and float casts stay small
+    gamma_counts = np.zeros(n_bins, dtype=np.int64)
+    impact_counts = np.zeros((k_max + 1) * n_bins, dtype=np.int64)
+    for lo in range(0, n, _BIN_CHUNK):
+        z, b = impact[lo : lo + _BIN_CHUNK], bin_idx[lo : lo + _BIN_CHUNK]
+        gamma_counts += np.bincount(b, weights=z, minlength=n_bins).astype(np.int64)
+        k_idx = np.minimum(z, k_max + 1)
+        k_idx -= 1
+        k_idx *= n_bins
+        k_idx += b
+        impact_counts += np.bincount(k_idx, minlength=impact_counts.size)
+    impact_counts = impact_counts.reshape(k_max + 1, n_bins)
 
     argmax = int(np.argmax(impact))
     return EmpiricalSnapshot(

@@ -31,11 +31,13 @@ function of ``_urn.c``, compiled on first use and loaded with ``ctypes``;
 it makes the Python loop's double multiply, truncation and compare, so
 its output is the same bits. Where no C compiler works, its line-for-line
 Python twin runs instead. The same loop resamples a frozen state's
-transitions for ``kernel_contract``. Impacts and W are updated from the
-appended tokens once per call, by numpy, in the order a running sum would
-add them. A replica's growth costs about 0.15 µs per edge on the
-two-point law and 0.25 µs on the density, against 1.0-1.5 and 1.9-2.4 µs
-with the Python loop (2-CPU Xeon, traced ``perfbench`` runs). Custom
+transitions for ``kernel_contract``. As it appends a token, the loop
+also adds one to its owner's impact and the owner's fitness to W, so W
+is a running sum in the order the tokens are appended, and nothing
+passes over the appended tokens again. A replica's growth costs about
+0.15 µs per edge on the two-point law and 0.25 µs on the density, against
+1.0-1.5 and 1.9-2.4 µs with the Python loop (2-CPU Xeon, traced
+``perfbench`` runs). Custom
 kernels draw from the same urn through ``KernelView.pick``, on channel 3,
 one vertex at a time, in Python.
 
@@ -318,8 +320,8 @@ def new_graph(
 ) -> GraphState:
     """Single-vertex start: one vertex, impact 1, no edges."""
     measures.require_normalized(dist)
-    if lam <= 0.0:
-        raise MeasureError("lambda must be positive")
+    if not 0.0 < lam < math.inf:  # False for NaN as well
+        raise MeasureError(f"lambda must be positive and finite, got {lam}")
     if isinstance(model, FixedOutdegree) and lam != int(lam):
         raise MeasureError(f"fixed-outdegree model needs integer lambda, got {lam}")
     state = GraphState(dist, lam, model, ReplicaStreams(seed, replica), edge_log=edge_log)
@@ -424,6 +426,7 @@ def run(
     The only code that adds vertices after vertex 0: one ``quantile`` call
     draws all new fitness marks (a density's inverse CDF takes milliseconds
     to prepare per call), and :func:`_grow` takes each checkpoint's slice.
+    Each vertex is binned once, for every snapshot of the call.
     Returns the snapshots; audits at every checkpoint raise :class:`AuditError`.
     """
     from . import empirics  # local import: empirics feeds on states, not vice versa
@@ -438,14 +441,18 @@ def run(
     if n_target not in checkpoints:
         checkpoints.append(n_target)
 
+    edges = empirics.uniform_edges(bins) if bin_edges is None else np.asarray(bin_edges, float)
     start = state.n
+    bin_index = np.empty(n_target, dtype=empirics.index_dtype(edges))
+    empirics.fitness_bins(state.fitness, edges, out=bin_index[:start])
     marks = measures.quantile(state.dist, state.streams.fitness_uniforms(n_target - start))
+    empirics.fitness_bins(marks, edges, out=bin_index[start:])
     snapshots = []
     fbar_track: list[tuple[int, float]] = []
     for cp in checkpoints:
         _grow(state, marks[state.n - start : cp - start])
         _audit(state, fbar_track)
-        snap = empirics.snapshot(state, bins=bins, k_max=k_max, bin_edges=bin_edges)
+        snap = empirics.snapshot(state, edges, bin_index, k_max=k_max)
         snapshots.append(snap)
         for observer in observers:
             observer(state, snap)
@@ -479,13 +486,13 @@ def _grow(state: GraphState, marks: np.ndarray) -> None:
     A custom kernel's vertices are drawn, applied and appended one mark at
     a time. On a built-in model the marks come first: a draw reads only
     vertices that own a token, and a vertex gets its token after its own
-    targets are drawn. :func:`_draw_steps` then only draws and appends
-    tokens, each step's targets and then the new vertex's own token, for
-    the outdegrees of up to ``_BLOCK`` steps at a time; the edge log is
-    rebuilt from each step's range of tokens. Impacts and the total weight
-    are updated once per call from the appended tokens: one unit of impact
-    each (``np.add.at``), and a sequential ``cumsum`` of their fitnesses,
-    which adds them in the order a running sum would.
+    targets are drawn. :func:`_draw_steps` then draws and appends tokens,
+    each step's targets and then the new vertex's own token, for the
+    outdegrees of up to ``_BLOCK`` steps at a time, and counts each
+    appended token into its owner's impact and into the total weight as it
+    goes; the edge log is rebuilt from each step's range of tokens. The
+    edge count and total impact come from the outdegrees, apart from the
+    loop, for the audit.
     """
     if isinstance(state.model, CustomKernel):
         for f in marks.tolist():
@@ -493,31 +500,25 @@ def _grow(state: GraphState, marks: np.ndarray) -> None:
             state._add_vertex(f)
         return
     tokens = state.tokens
-    fitness = state.fitness
     start_n = state.n
     steps = len(marks)
-    first = len(tokens)
-    fitness.frombytes(marks.tobytes())
-    edges = 0  # counted from the outdegrees, apart from the tokens, for the audit
+    state.fitness.frombytes(np.ascontiguousarray(marks, dtype=float).view(np.uint8))
+    weight = ctypes.c_double(state.total_weight)
+    edges = 0
     for lo in range(0, steps, _BLOCK):
         counts = state.model.outdegrees(state.lam, state.streams, min(_BLOCK, steps - lo))
         edges += int(counts.sum())
         begin = len(tokens)
-        _draw_steps(tokens, fitness, counts, start_n + lo, state.streams.edges)
+        _draw_steps(
+            tokens, state.fitness, state.impact, weight, counts, start_n + lo, state.streams.edges
+        )
         if state.edge_log is not None:  # step n's targets end just before its own token
             ends = begin - 1 + np.cumsum(counts + 1)
             for n, (count, end) in enumerate(zip(counts.tolist(), ends.tolist()), start_n + lo):
                 if count:
                     targets = Counter(tokens[end - count : end])
                     state.edge_log.extend((n, i, c) for i, c in targets.items())
-
-    added = np.frombuffer(tokens[first:], dtype=np.intc)
-    state.impact.frombytes(bytes(8 * steps))  # own tokens are in `added`
-    np.add.at(np.frombuffer(state.impact, dtype=np.int64), added, 1)
-    terms = np.empty(added.size + 1)  # W, then the appended tokens' fitnesses
-    terms[0] = state.total_weight
-    np.frombuffer(fitness).take(added, out=terms[1:])
-    state.total_weight = float(np.cumsum(terms, out=terms)[-1])
+    state.total_weight = weight.value
     state.edge_count += edges
     state.total_impact += edges + steps
 
@@ -526,15 +527,27 @@ def frozen_targets(state: GraphState, counts: np.ndarray, stream: _Stream) -> np
     """The targets of ``len(counts)`` transitions of the frozen ``state``, in
     order, transition t drawing ``counts[t]``: one step of the growth loop
     on a copy of the tokens, so each draw sees the urn as it is and reads
-    the uniforms of ``stream`` that one transition at a time would read."""
+    the uniforms of ``stream`` that one transition at a time would read.
+    The state's impacts and total weight are left alone."""
     tokens = state.tokens[:]
-    _draw_steps(tokens, state.fitness, np.array([counts.sum()]), state.n, stream)
+    step = np.array([counts.sum()])
+    _draw_steps(tokens, state.fitness, None, ctypes.c_double(), step, state.n, stream)
     return np.frombuffer(tokens, dtype=np.intc)[len(state.tokens) : -1]
 
 
-def _draw_steps(tokens: array, fitness: array, counts, start: int, stream: _Stream) -> None:
+def _draw_steps(
+    tokens: array,
+    fitness: array,
+    impact: array | None,
+    weight: ctypes.c_double,
+    counts,
+    start: int,
+    stream: _Stream,
+) -> None:
     """Steps ``start``, ``start + 1``, ...: step s appends its ``counts[s]``
-    targets to ``tokens``, then the token of its own vertex.
+    targets to ``tokens``, then the token of its own vertex. Unless
+    ``impact`` is None, each appended token adds one to its owner's impact
+    (the new vertex's starts at 1) and its fitness to ``weight``.
 
     The loop runs in ``_urn.c`` or, where no C compiler works, in its twin
     :func:`_urn_grow`, on ``stream``'s block from its position, until the
@@ -544,17 +557,30 @@ def _draw_steps(tokens: array, fitness: array, counts, start: int, stream: _Stre
     steps = len(counts)
     pos = (ctypes.c_long * 3)(0, 0, len(tokens))  # step, edge, token count
     tokens.frombytes(bytes(tokens.itemsize * (int(counts.sum()) + steps)))
+    if impact is not None:
+        impact.frombytes(bytes(impact.itemsize * steps))  # the loop sets each to 1
     loop = _compiled_urn() or _urn_grow
     while pos[0] < steps:
         if len(stream.block) - stream.pos < 2:
             stream.fill()
-        stream.advance(loop(tokens, fitness, counts, start, stream.block[stream.pos :], pos))
+        u = stream.block[stream.pos :]
+        stream.advance(loop(tokens, fitness, impact, weight, counts, start, u, pos))
 
 
-def _urn_grow(tokens: array, fitness: array, counts, first: int, u: np.ndarray, pos) -> int:
+def _urn_grow(
+    tokens: array,
+    fitness: array,
+    impact: array | None,
+    weight: ctypes.c_double,
+    counts,
+    first: int,
+    u: np.ndarray,
+    pos,
+) -> int:
     """``urn_grow`` of ``_urn.c``, line for line, in Python."""
     counts, u, nu = counts.tolist(), u.tolist(), len(u)
     step, edge, ntok = pos
+    w = weight.value
     k = 0
     while step < len(counts):
         size = ntok - edge
@@ -562,6 +588,7 @@ def _urn_grow(tokens: array, fitness: array, counts, first: int, u: np.ndarray, 
             while True:
                 if nu - k < 2:
                     pos[:] = step, edge, ntok
+                    weight.value = w
                     return k
                 i = tokens[int(u[k] * size)]
                 k += 2
@@ -569,11 +596,19 @@ def _urn_grow(tokens: array, fitness: array, counts, first: int, u: np.ndarray, 
                     break
             tokens[ntok] = i
             ntok += 1
+            if impact is not None:
+                impact[i] += 1
+                w += fitness[i]
             edge += 1
-        tokens[ntok] = first + step
+        v = first + step
+        tokens[ntok] = v
         ntok += 1
+        if impact is not None:
+            impact[v] = 1
+            w += fitness[v]
         step, edge = step + 1, 0
     pos[:] = step, edge, ntok
+    weight.value = w
     return k
 
 
@@ -628,14 +663,22 @@ def _build_urn():
             lib = load(Path(tmp))
     urn = lib.urn_grow
     urn.restype = ctypes.c_long
-    urn.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_long] * 2 + [
+    urn.argtypes = [ctypes.c_void_p] * 3 + [
+        ctypes.POINTER(ctypes.c_double),
+        ctypes.c_void_p,
+        ctypes.c_long,
+        ctypes.c_long,
         ctypes.c_void_p,
         ctypes.c_long,
         ctypes.POINTER(ctypes.c_long),
     ]
 
-    def loop(tokens, fitness, counts, first, u, pos):  # the arguments of _urn_grow
-        address = tokens.buffer_info()[0], fitness.buffer_info()[0], counts.ctypes.data
-        return urn(*address, len(counts), first, u.ctypes.data, len(u), pos)
+    def loop(tokens, fitness, impact, weight, counts, first, u, pos):  # as _urn_grow's
+        address = tokens.buffer_info()[0], fitness.buffer_info()[0]
+        counted = impact.buffer_info()[0] if impact is not None else None
+        return urn(
+            *address, counted, weight, counts.ctypes.data, len(counts), first,
+            u.ctypes.data, len(u), pos,
+        )
 
     return loop

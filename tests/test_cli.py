@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from pafit import cli, empirics, simulator
+from pafit import cli, empirics, kernel_contract, simulator
 from pafit.config import ConfigError, ExperimentConfig
 from pafit.measures import MeasureError
 
@@ -372,7 +372,7 @@ class TestMain:
             seen.update(sizes)
             raise MeasureError("stop before sampling")
 
-        monkeypatch.setattr(cli.kernel_contract, "run_contract_suite", suite)
+        monkeypatch.setattr(kernel_contract, "run_contract_suite", suite)
         path = tmp_path / "config.json"
         small_config(tmp_path).save(path)
         assert cli.main(["check-kernel", "--config", str(path), *flags]) == 2

@@ -3,6 +3,7 @@ arithmetic), snapshots against the limit laws, aggregation, and the
 criteria of ``evaluate`` on synthetic tables."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +26,12 @@ def brute_force_snapshot(fitness, impact, edges, k_max):
     return gamma, by_k
 
 
+def binned_snapshot(state, bins, k_max):
+    """A snapshot on ``bins`` uniform bins, binning the state's vertices as ``run`` does."""
+    edges = E.uniform_edges(bins)
+    return E.snapshot(state, edges, E.fitness_bins(state.fitness, edges), k_max=k_max)
+
+
 @pytest.fixture
 def grown_state(two_point):
     state = S.new_graph(two_point, 2.0, S.FixedOutdegree(), seed=99)
@@ -35,43 +42,50 @@ def grown_state(two_point):
 class TestSnapshot:
     def test_single_vertex(self, uniform):
         state = S.new_graph(uniform, 1.0, S.PoissonOutdegree(), seed=1)
-        snap = E.snapshot(state, bins=5, k_max=3)
+        snap = binned_snapshot(state, 5, k_max=3)
         assert snap.gamma_counts.sum() == 1
         assert snap.pk[0] == 1.0
         assert snap.max_impact == 1
 
     def test_matches_brute_force_exactly(self, grown_state):
-        snap = E.snapshot(grown_state, bins=13, k_max=6)
+        snap = binned_snapshot(grown_state, 13, k_max=6)
         gamma, by_k = brute_force_snapshot(
             grown_state.fitness, grown_state.impact, snap.edges, 6
         )
         assert np.array_equal(snap.gamma_counts, gamma)
         assert np.array_equal(snap.impact_counts, by_k)
 
+    def test_counts_in_chunks_match_one_pass(self, grown_state, monkeypatch):
+        whole = binned_snapshot(grown_state, 13, k_max=6)
+        monkeypatch.setattr(E, "_BIN_CHUNK", 7)
+        cut = binned_snapshot(grown_state, 13, k_max=6)
+        assert np.array_equal(cut.gamma_counts, whole.gamma_counts)
+        assert np.array_equal(cut.impact_counts, whole.impact_counts)
+
     def test_bin_sum_equals_total_impact(self, grown_state):
-        snap = E.snapshot(grown_state, bins=7, k_max=4)
+        snap = binned_snapshot(grown_state, 7, k_max=4)
         assert snap.gamma_counts.sum() == snap.total_impact
         assert snap.total_impact == grown_state.total_impact
 
     def test_m2_lambda1_bin_sum(self, two_point):
         state = S.new_graph(two_point, 1.0, S.FixedOutdegree(), seed=3)
         S.run(state, 1000, bins=10, k_max=5)
-        snap = E.snapshot(state, bins=10, k_max=5)
+        snap = binned_snapshot(state, 10, k_max=5)
         assert snap.gamma_counts.sum() == 2 * 1000 - 1
         assert float(snap.gamma_mass.sum()) == pytest.approx((2 * 1000 - 1) / 1000)
 
     def test_pk_plus_tail_is_one_exactly(self, grown_state):
-        snap = E.snapshot(grown_state, bins=10, k_max=4)
+        snap = binned_snapshot(grown_state, 10, k_max=4)
         assert snap.impact_counts.sum() == snap.n
         tail_fraction = snap.impact_counts[-1].sum() / snap.n
         assert float(snap.pk.sum() + tail_fraction) == pytest.approx(1.0, abs=1e-15)
 
     def test_weighted_impact_counts_bounded_by_gamma(self, grown_state):
-        snap = E.snapshot(grown_state, bins=10, k_max=8)
+        snap = binned_snapshot(grown_state, 10, k_max=8)
         ks = np.arange(1, 9)[:, None]
         weighted = (snap.impact_counts[:-1] * ks).sum(axis=0)
         assert np.all(weighted <= snap.gamma_counts)
-        big_k = E.snapshot(grown_state, bins=10, k_max=snap.max_impact)
+        big_k = binned_snapshot(grown_state, 10, k_max=snap.max_impact)
         ks = np.arange(1, snap.max_impact + 1)[:, None]
         weighted = (big_k.impact_counts[:-1] * ks).sum(axis=0)
         assert np.array_equal(weighted, big_k.gamma_counts)
@@ -79,11 +93,46 @@ class TestSnapshot:
     def test_atom_lands_in_last_bin(self, two_point):
         state = S.new_graph(two_point, 1.0, S.FixedOutdegree(), seed=5)
         S.run(state, 200, bins=4, k_max=3)
-        snap = E.snapshot(state, bins=4, k_max=3)
+        snap = binned_snapshot(state, 4, k_max=3)
         fitness = np.asarray(state.fitness)
         impact = np.asarray(state.impact)
         assert snap.gamma_counts[-1] == impact[fitness == 1.0].sum()
         assert snap.gamma_counts[1] == impact[fitness == 0.5].sum()
+
+    def test_run_bins_each_vertex_once_for_all_its_snapshots(self, cubic_gap):
+        # two run calls: the second bins the vertices the first grew, and its
+        # snapshots bincount prefixes of one index
+        state = S.new_graph(cubic_gap, 1.0, S.PoissonOutdegree(), seed=17)
+        S.run(state, 300, bins=7, k_max=3)
+        edges, searched, search = E.uniform_edges(7), [], np.searchsorted
+
+        def counted(a, v, *args, **kwargs):
+            if len(a) == len(edges):  # a bin search, not one of the sampler's
+                searched.append(len(v))
+            return search(a, v, *args, **kwargs)
+
+        with mock.patch.object(np, "searchsorted", counted):
+            snaps = S.run(state, 3000, schedule=[300, 1000, 3000], bin_edges=edges, k_max=3)
+        assert searched == [300, 2700]
+        assert [s.n for s in snaps] == [300, 1000, 3000]
+        fresh = binned_snapshot(state, 7, k_max=3)
+        assert np.array_equal(snaps[-1].gamma_counts, fresh.gamma_counts)
+        assert np.array_equal(snaps[-1].impact_counts, fresh.impact_counts)
+
+    def test_fitness_bins_in_chunks_and_the_narrowest_dtype(self):
+        fitness = np.random.default_rng(7).uniform(1e-9, 1.0, 3 * E._BIN_CHUNK // 2)
+        fitness[:3] = [1.0, 0.5, 1e-300]
+        for bins, dtype in ((1, np.uint8), (256, np.uint8), (257, np.uint16)):
+            edges = E.uniform_edges(bins)
+            index = E.fitness_bins(fitness, edges)
+            assert index.dtype == dtype
+            b = index.astype(int)
+            assert np.all(edges[b] < fitness) and np.all(fitness <= edges[b + 1])
+
+    @pytest.mark.parametrize("edges", [[0.1, 1.0], [0.0, 0.9], [0.0]])
+    def test_bin_edges_must_cover_the_unit_interval(self, edges):
+        with pytest.raises(M.MeasureError, match="bin edges"):
+            E.fitness_bins([0.5], edges)
 
     def test_collision_free_edges_shift_atoms(self, two_point):
         edges = E.collision_free_edges(two_point, 10)

@@ -10,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -90,6 +91,14 @@ class TestNewGraph:
     def test_fixed_outdegree_needs_integer_lambda(self, two_point):
         with pytest.raises(M.MeasureError):
             S.new_graph(two_point, 1.5, S.FixedOutdegree(), seed=1)
+
+    @pytest.mark.parametrize(
+        "model", [S.PoissonOutdegree(), S.FixedOutdegree()], ids=["poisson", "multinomial"]
+    )
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_lambda_rejected(self, two_point, lam, model):
+        with pytest.raises(M.MeasureError, match="positive and finite"):
+            S.new_graph(two_point, lam, model, seed=1)
 
     def test_unnormalised_distribution_rejected(self):
         raw = M.FiniteDiscrete([(0.25, 0.5), (0.5, 0.5)])
@@ -496,6 +505,28 @@ def reference_growth_and_draws(fitness, lam, seed, plan):
 
 
 FITNESS = st.one_of(st.sampled_from([1.0, 0.5, 0.25, 1e-3]), st.floats(1e-3, 1.0))
+
+
+class TestGrowMemory:
+    BYTES_PER_TOKEN = 2.0  # transient allocations above the grown state
+
+    def test_growth_holds_nothing_per_token_beside_the_state(self, two_point):
+        # the loop counts impacts and the total weight itself, so a growth
+        # call allocates nothing the size of its appended tokens beside the
+        # state: no copy of them, no array of their fitnesses, no index cast
+        state = S.new_graph(two_point, 2.0, S.PoissonOutdegree(), seed=83)
+        marks = M.quantile(two_point, state.streams.fitness_uniforms(100_000))
+        S._compiled_urn()  # built before tracing
+        first = len(state.tokens)
+        tracemalloc.start()
+        try:
+            S._grow(state, marks)
+            grown, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        appended = len(state.tokens) - first
+        assert appended > 250_000
+        assert (peak - grown) / appended <= self.BYTES_PER_TOKEN
 
 
 class TestCompiledUrn:
