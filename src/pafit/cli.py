@@ -27,6 +27,7 @@ from .empirics import EmpiricalSnapshot, ReplicaAggregate
 from .measures import MeasureError
 
 ENV_OUT = "PAFIT_OUT"
+_CSV_CHUNK = 1 << 16
 
 
 def _fmt(value) -> str:
@@ -122,7 +123,7 @@ def cmd_theory(config: ExperimentConfig, *, out_dir: Path | None = None) -> dict
 
 def _replica_worker(
     payload: tuple[dict, int],
-) -> tuple[int, list[EmpiricalSnapshot], list | None]:
+) -> tuple[int, list[EmpiricalSnapshot], np.ndarray | None]:
     config_dict, replica = payload
     config = ExperimentConfig.from_dict(config_dict)
     try:
@@ -132,20 +133,17 @@ def _replica_worker(
             config.attachment_model(),
             config.base_seed,
             replica=replica,
-            edge_log=config.edge_log,
         )
         snapshots = simulator.run(
             state,
             config.n_target,
-            schedule=config.schedule(),
+            schedule=config.checkpoints,
             bins=config.bins,
             k_max=config.max_tracked_impact,
-            bin_edges=config.bin_edges(),
         )
     except (simulator.AuditError, MeasureError) as exc:
         raise type(exc)(f"replica {replica}: {exc}") from exc
-    edge_log = list(state.edge_log) if state.edge_log is not None else None
-    return replica, snapshots, edge_log
+    return replica, snapshots, simulator.edge_log(state) if config.edge_log else None
 
 
 def _write_replica_files(out: Path, replica: int, snapshots, edge_log) -> None:
@@ -172,8 +170,12 @@ def _write_replica_files(out: Path, replica: int, snapshots, edge_log) -> None:
                 + [snap.impact_counts[k][b] / snap.n for k in range(k_max + 1)]
             )
         write_csv(rep_dir / f"hist_{snap.n:08d}.csv", header, rows)
-    if edge_log is not None:
-        write_csv(rep_dir / "edges.csv", ["source", "target", "multiplicity"], edge_log)
+    if edge_log is not None:  # rows as Python ints, a chunk at a time
+        rows = (
+            row for lo in range(0, len(edge_log), _CSV_CHUNK)
+            for row in edge_log[lo : lo + _CSV_CHUNK].tolist()
+        )
+        write_csv(rep_dir / "edges.csv", ["source", "target", "multiplicity"], rows)
 
 
 def cmd_simulate(
@@ -298,21 +300,18 @@ def cmd_compare(config: ExperimentConfig, *, out_dir: Path | None = None) -> dic
         raise MeasureError(f"no simulation output under {sim_dir}; run `simulate` first")
     theory = json.loads((theory_dir / "limit_summary.json").read_text())
     sim = json.loads((sim_dir / "summary.json").read_text())
-    for side, payload in (("theory", theory), ("simulation", sim)):
-        if payload["lambda"] != config.lam:
-            raise MeasureError(
-                f"lambda mismatch: {side} files have {payload['lambda']}, config has {config.lam}"
-            )
-        if payload["fitness"] != config.fitness:
-            raise MeasureError(f"fitness distribution mismatch against {side} files")
     # the model sets the total-mass band and the rest the tables' shape; seed
     # and replica count may differ legitimately (``simulate --seed/--replicas``)
-    for key in ("model", "n_target", "bins", "max_tracked_impact"):
-        if sim[key] != getattr(config, key):
-            raise MeasureError(
-                f"{key} mismatch: simulation files have {sim[key]}, "
-                f"config has {getattr(config, key)}"
-            )
+    expected = config.to_dict()
+    law = ("lambda", "fitness")
+    shape = ("model", "n_target", "bins", "max_tracked_impact")
+    for side, payload, keys in (("theory", theory, law), ("simulation", sim, law + shape)):
+        for key in keys:
+            if payload[key] != expected[key]:
+                raise MeasureError(
+                    f"{key} mismatch: {side} files have {payload[key]}, "
+                    f"config has {expected[key]}"
+                )
     if len(theory["pk"]) != config.max_tracked_impact:
         raise MeasureError(
             f"max_tracked_impact mismatch: theory files have {len(theory['pk'])}, "

@@ -196,11 +196,6 @@ class ExperimentConfig:
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
 
-    def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
     # -- derived objects ---------------------------------------------------
 
     def distribution(self) -> measures.FitnessDistribution:
@@ -208,12 +203,6 @@ class ExperimentConfig:
 
     def attachment_model(self) -> simulator.AttachmentModel:
         return build_model(self.model, self.lam)
-
-    def schedule(self) -> list[int]:
-        if self.checkpoints is not None:
-            cps = sorted(set(self.checkpoints) | {self.n_target})
-            return cps
-        return simulator.default_schedule(1, self.n_target)
 
     def bin_edges(self):
         from . import empirics

@@ -152,13 +152,6 @@ def fitness_identity() -> Integrand:
     return Integrand("poly", coeffs=(0.0, 1.0))
 
 
-def window_indicator(lo: float, hi: float) -> Integrand:
-    """Indicator of the half-open window (lo, hi]."""
-    if not lo < hi:
-        raise MeasureError(f"empty window ({lo}, {hi}]")
-    return Integrand("poly", coeffs=(1.0,), lo=float(lo), hi=float(hi))
-
-
 def impact_factor(theta_star: float, k: int) -> Integrand:
     """Density factor of the impact-k fitness law (Yule-Simon pmf at k)."""
     if k < 1:
@@ -204,8 +197,8 @@ class FiniteDiscrete:
             mass = float(mass)
             if not math.isfinite(value) or value <= 0.0:
                 raise MeasureError(f"support point {value} outside (0, inf)")
-            if mass < 0.0:
-                raise MeasureError("negative point mass")
+            if not 0.0 <= mass < math.inf:  # False for NaN as well
+                raise MeasureError(f"point mass {mass} is negative or not finite")
             if mass > 0.0:
                 merged[value] = merged.get(value, 0.0) + mass
         if len(merged) < 2:
@@ -248,8 +241,10 @@ class PiecewiseDensity:
         atom = float(atom_at_one)
         if len(edges) < 2 or len(coeffs) != len(edges) - 1:
             raise MeasureError("need len(edges) == len(coeffs) + 1 >= 2")
+        if not all(map(math.isfinite, edges + sum(coeffs, ()))):
+            raise MeasureError("edges and coefficients must be finite")
         if edges[0] < 0.0 or any(b <= a for a, b in zip(edges, edges[1:])):
-            raise MeasureError("edges must be nondecreasing and start >= 0")
+            raise MeasureError("edges must be strictly increasing and start >= 0")
         if not 0.0 <= atom <= 1.0:
             raise MeasureError("atom mass must lie in [0, 1]")
         for (a, b), piece in zip(zip(edges, edges[1:]), coeffs):
@@ -295,8 +290,8 @@ class BetaShape:
     atom_at_one: float = 0.0
 
     def __post_init__(self):
-        if not (self.alpha > 0.0 and self.beta > 0.0):
-            raise MeasureError("Beta shape parameters must be positive")
+        if not (0.0 < self.alpha < math.inf and 0.0 < self.beta < math.inf):
+            raise MeasureError("Beta shape parameters must be positive and finite")
         if not 0.0 <= self.atom_at_one < 1.0:
             raise MeasureError("atom mass must lie in [0, 1)")
 

@@ -1,9 +1,10 @@
 """Sequential growth of the random multigraph under impact evolutions.
 
 The graph is represented only through the per-vertex fitness and impact
-arrays (``array("d")`` and ``array("q")``, 16 bytes a vertex) plus the
-running total weight ``W = sum_i fitness_i * impact_i``; the full adjacency
-is never stored (an optional edge log can be switched on for debugging).
+arrays (``array("d")`` and ``array("q")``, 16 bytes a vertex), the token
+urn below and the running total weight ``W = sum_i fitness_i * impact_i``.
+No adjacency is kept beside the urn: the urn is itself the ordered edge
+record, which :func:`edge_log` reads off on demand.
 Each growth step freezes the current weights, draws the edge increments of
 the chosen attachment model against them, applies the increments, and
 appends the new vertex with impact 1. :func:`new_graph` places vertex 0;
@@ -62,7 +63,6 @@ import subprocess
 import sys
 import tempfile
 from array import array
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -231,10 +231,9 @@ class GraphState:
         "total_weight",
         "total_impact",
         "edge_count",
-        "edge_log",
     )
 
-    def __init__(self, dist, lam, model, streams, *, edge_log: bool = False):
+    def __init__(self, dist, lam, model, streams):
         self.dist = dist
         self.lam = float(lam)
         self.model = model
@@ -245,7 +244,6 @@ class GraphState:
         self.total_weight = 0.0
         self.total_impact = 0
         self.edge_count = 0
-        self.edge_log: list[tuple[int, int, int]] | None = [] if edge_log else None
 
     @property
     def n(self) -> int:
@@ -261,15 +259,12 @@ class GraphState:
 
     def apply_increments(self, incs: Mapping[int, int]) -> None:
         """Apply a custom kernel's increments (built-in models count theirs in bulk)."""
-        source = self.n  # index the new vertex will take
         for i, count in incs.items():
             self.impact[i] += count
             self.tokens.extend([i] * count)
             self.total_weight += self.fitness[i] * count
             self.total_impact += count
             self.edge_count += count
-            if self.edge_log is not None:
-                self.edge_log.append((source, i, count))
 
     def view(self) -> KernelView:
         tokens, fitness = self.tokens, self.fitness
@@ -316,7 +311,6 @@ def new_graph(
     seed: int,
     *,
     replica: int = 0,
-    edge_log: bool = False,
 ) -> GraphState:
     """Single-vertex start: one vertex, impact 1, no edges."""
     measures.require_normalized(dist)
@@ -324,7 +318,7 @@ def new_graph(
         raise MeasureError(f"lambda must be positive and finite, got {lam}")
     if isinstance(model, FixedOutdegree) and lam != int(lam):
         raise MeasureError(f"fixed-outdegree model needs integer lambda, got {lam}")
-    state = GraphState(dist, lam, model, ReplicaStreams(seed, replica), edge_log=edge_log)
+    state = GraphState(dist, lam, model, ReplicaStreams(seed, replica))
     state._add_vertex(float(measures.quantile(dist, state.streams.fitness_uniforms(1))[0]))
     return state
 
@@ -332,6 +326,30 @@ def new_graph(
 def fbar(state: GraphState) -> float:
     """Normalisation: total weight / (lambda * n)."""
     return state.total_weight / (state.lam * state.n)
+
+
+def edge_log(state: GraphState) -> np.ndarray:
+    """The grown state's edges as int32 rows (source, target, multiplicity),
+    read off its token urn.
+
+    Growth appends each step's targets and then the step's own token, and
+    every target is an older vertex, so a token is a step's own token
+    exactly when it exceeds every earlier token; step v's targets are the
+    tokens between own tokens v - 1 and v. A step's rows come in the order
+    its targets first occur: the order a built-in model drew them in and a
+    custom kernel listed them in. A :meth:`GraphState.from_arrays` state,
+    never grown, has no such layout.
+    """
+    tokens = np.frombuffer(state.tokens, dtype=np.intc)
+    own = np.ones(len(tokens), dtype=bool)
+    np.greater(tokens[1:], np.maximum.accumulate(tokens)[:-1], out=own[1:])
+    source = np.cumsum(own, dtype=np.intc)[~own]
+    target = tokens[~own]
+    key = source.astype(np.int64) * state.n + target
+    _, first, multiplicity = np.unique(key, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    first = first[order]
+    return np.column_stack((source[first], target[first], multiplicity[order].astype(np.intc)))
 
 
 def default_schedule(start_n: int, n_target: int) -> list[int]:
@@ -418,10 +436,12 @@ def run(
     *,
     bins: int = 100,
     k_max: int = 10,
-    bin_edges: Sequence[float] | None = None,
     observers: Sequence[Callable] = (),
 ):
     """Advance to ``n_target``, snapshotting at each checkpoint.
+
+    The checkpoints are ``schedule``'s (by default :func:`default_schedule`'s)
+    and ``n_target``; snapshots bin fitness by :func:`empirics.collision_free_edges`.
 
     The only code that adds vertices after vertex 0: one ``quantile`` call
     draws all new fitness marks (a density's inverse CDF takes milliseconds
@@ -441,7 +461,7 @@ def run(
     if n_target not in checkpoints:
         checkpoints.append(n_target)
 
-    edges = empirics.uniform_edges(bins) if bin_edges is None else np.asarray(bin_edges, float)
+    edges = empirics.collision_free_edges(state.dist, bins)
     start = state.n
     bin_index = np.empty(n_target, dtype=empirics.index_dtype(edges))
     empirics.fitness_bins(state.fitness, edges, out=bin_index[:start])
@@ -484,22 +504,22 @@ def _grow(state: GraphState, marks: np.ndarray) -> None:
     """Append one vertex per fitness mark, in order, each after its edges.
 
     A custom kernel's vertices are drawn, applied and appended one mark at
-    a time. On a built-in model the marks come first: a draw reads only
-    vertices that own a token, and a vertex gets its token after its own
-    targets are drawn. :func:`_draw_steps` then draws and appends tokens,
-    each step's targets and then the new vertex's own token, for the
-    outdegrees of up to ``_BLOCK`` steps at a time, and counts each
-    appended token into its owner's impact and into the total weight as it
-    goes; the edge log is rebuilt from each step's range of tokens. The
-    edge count and total impact come from the outdegrees, apart from the
-    loop, for the audit.
+    a time, its targets' tokens in the order it listed them. On a built-in
+    model the marks come first: a draw reads only vertices that own a
+    token, and a vertex gets its token after its own targets are drawn.
+    :func:`_draw_steps` then draws and appends tokens, each step's targets
+    and then the new vertex's own token, for the outdegrees of up to
+    ``_BLOCK`` steps at a time, and counts each appended token into its
+    owner's impact and into the total weight as it goes. Either way the
+    urn holds each step's targets and then its own token, the layout
+    :func:`edge_log` reads. The edge count and total impact come from the
+    outdegrees, apart from the loop, for the audit.
     """
     if isinstance(state.model, CustomKernel):
         for f in marks.tolist():
             state.apply_increments(state.model.increments(state.view(), state.streams.kernel_rng))
             state._add_vertex(f)
         return
-    tokens = state.tokens
     start_n = state.n
     steps = len(marks)
     state.fitness.frombytes(np.ascontiguousarray(marks, dtype=float).view(np.uint8))
@@ -508,16 +528,10 @@ def _grow(state: GraphState, marks: np.ndarray) -> None:
     for lo in range(0, steps, _BLOCK):
         counts = state.model.outdegrees(state.lam, state.streams, min(_BLOCK, steps - lo))
         edges += int(counts.sum())
-        begin = len(tokens)
         _draw_steps(
-            tokens, state.fitness, state.impact, weight, counts, start_n + lo, state.streams.edges
+            state.tokens, state.fitness, state.impact, weight, counts, start_n + lo,
+            state.streams.edges,
         )
-        if state.edge_log is not None:  # step n's targets end just before its own token
-            ends = begin - 1 + np.cumsum(counts + 1)
-            for n, (count, end) in enumerate(zip(counts.tolist(), ends.tolist()), start_n + lo):
-                if count:
-                    targets = Counter(tokens[end - count : end])
-                    state.edge_log.extend((n, i, c) for i, c in targets.items())
     state.total_weight = weight.value
     state.edge_count += edges
     state.total_impact += edges + steps

@@ -33,6 +33,23 @@ def small_config(tmp_path, **overrides) -> ExperimentConfig:
     return ExperimentConfig.from_dict(data)
 
 
+NON_FINITE_FITNESS = {  # json reads NaN and Infinity; none of these is a law
+    "discrete_nan_mass": {"type": "discrete", "points": [[0.5, math.nan], [0.7, 0.5], [1.0, 0.5]]},
+    "density_nan_coeff": {
+        "type": "density", "edges": [0.0, 1.0], "coeffs": [[math.nan]], "atom_at_one": 0.5
+    },
+    "density_nan_edge": {
+        "type": "density", "edges": [0.0, math.nan, 1.0], "coeffs": [[1.0], [1.0]]
+    },
+    "beta_infinite_alpha": {"type": "beta", "alpha": math.inf, "beta": 2.0},
+    "beta_nan_beta": {"type": "beta", "alpha": 2.0, "beta": math.nan},
+}
+
+
+def write_config(path: Path, config: ExperimentConfig) -> None:
+    path.write_text(json.dumps(config.to_dict()))
+
+
 def tree_bytes(root: Path) -> dict[str, bytes]:
     return {
         str(p.relative_to(root)): p.read_bytes()
@@ -45,7 +62,7 @@ class TestConfig:
     def test_round_trip(self, tmp_path):
         config = small_config(tmp_path)
         path = tmp_path / "config.json"
-        config.save(path)
+        write_config(path, config)
         assert ExperimentConfig.load(path) == config
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -68,6 +85,11 @@ class TestConfig:
     def test_non_finite_lambda_rejected(self, tmp_path, lam):
         with pytest.raises(ConfigError):
             small_config(tmp_path, model={"type": "poisson"}, **{"lambda": lam})
+
+    @pytest.mark.parametrize("name", sorted(NON_FINITE_FITNESS))
+    def test_non_finite_fitness_rejected(self, tmp_path, name):
+        with pytest.raises(ConfigError, match="finite"):
+            small_config(tmp_path, fitness=NON_FINITE_FITNESS[name])
 
     def test_dirac_fitness_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -217,6 +239,17 @@ class TestCompare:
         with pytest.raises(Exception, match="lambda mismatch"):
             cli.cmd_compare(config, out_dir=out)
 
+    @pytest.mark.parametrize(
+        "path, side", [("theory/limit_summary.json", "theory"), ("sim/summary.json", "simulation")]
+    )
+    def test_fitness_mismatch_rejected(self, complete_run, path, side):
+        config, out = complete_run
+        doctored = json.loads((out / path).read_text())
+        doctored["fitness"] = {"type": "discrete", "points": [[0.5, 0.25], [1.0, 0.75]]}
+        (out / path).write_text(json.dumps(doctored))
+        with pytest.raises(MeasureError, match=f"fitness mismatch: {side} files"):
+            cli.cmd_compare(config, out_dir=out)
+
     def test_model_mismatch_rejected(self, complete_run):
         """The model sets the total-mass band, so a run compared under another
         model's config is refused rather than judged by the wrong band."""
@@ -246,7 +279,7 @@ class TestCompare:
         with pytest.raises(MeasureError, match="max_tracked_impact mismatch: theory files"):
             cli.cmd_compare(config, out_dir=out)
         path = out / "config.json"
-        config.save(path)
+        write_config(path, config)
         assert cli.main(["compare", "--config", str(path), "--out", str(out)]) == 2
 
     def test_empty_run_dir_rejected(self, tmp_path):
@@ -276,7 +309,7 @@ class TestMain:
     def test_end_to_end_via_argv(self, tmp_path):
         config = small_config(tmp_path, n_target=600, replicas=2)
         path = tmp_path / "config.json"
-        config.save(path)
+        write_config(path, config)
         out = str(tmp_path / "cli_out")
         assert cli.main(["theory", "--config", str(path), "--out", out]) == 0
         assert (
@@ -289,7 +322,7 @@ class TestMain:
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         config = small_config(tmp_path)
         path = tmp_path / "config.json"
-        config.save(path)
+        write_config(path, config)
         env_out = tmp_path / "env_out"
         monkeypatch.setenv(cli.ENV_OUT, str(env_out))
         assert cli.main(["theory", "--config", str(path)]) == 0
@@ -316,9 +349,19 @@ class TestMain:
         assert cli.main(argv) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", sorted(NON_FINITE_FITNESS))
+    def test_non_finite_fitness_exits_2(self, tmp_path, capsys, name):
+        data = {**small_config(tmp_path).to_dict(), "fitness": NON_FINITE_FITNESS[name]}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "cli_out"
+        assert cli.main(["theory", "--config", str(path), "--out", str(out)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_replicas_flag_is_validated_as_config(self, tmp_path):
         path = tmp_path / "config.json"
-        small_config(tmp_path, n_target=300).save(path)
+        write_config(path, small_config(tmp_path, n_target=300))
         out = tmp_path / "cli_out"
         argv = ["simulate", "--config", str(path), "--out", str(out), "--threads", "1"]
         assert cli.main(argv + ["--replicas", "0"]) == 2
@@ -329,7 +372,7 @@ class TestMain:
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_exits_2(self, tmp_path, threads):
         path = tmp_path / "config.json"
-        small_config(tmp_path, n_target=300).save(path)
+        write_config(path, small_config(tmp_path, n_target=300))
         out = tmp_path / "cli_out"
         argv = ["simulate", "--config", str(path), "--out", str(out), "--threads", threads]
         assert cli.main(argv) == 2
@@ -347,7 +390,7 @@ class TestMain:
         with pytest.raises(error, match=r"^replica 1: boom$"):
             cli.cmd_simulate(config, out_dir=tmp_path / "lib_out", threads=threads)
         path = tmp_path / "config.json"
-        config.save(path)
+        write_config(path, config)
         out = tmp_path / "cli_out"
         argv = ["simulate", "--config", str(path), "--out", str(out), "--threads", str(threads)]
         assert cli.main(argv) == 2
@@ -357,7 +400,7 @@ class TestMain:
     @pytest.mark.parametrize("trials", [0, 1])
     def test_check_kernel_needs_two_trials(self, tmp_path, trials):
         path = tmp_path / "config.json"
-        small_config(tmp_path).save(path)
+        write_config(path, small_config(tmp_path))
         out = tmp_path / "cli_out"
         argv = ["check-kernel", "--config", str(path), "--out", str(out), "--trials", str(trials)]
         assert cli.main(argv) == 2
@@ -374,6 +417,6 @@ class TestMain:
 
         monkeypatch.setattr(kernel_contract, "run_contract_suite", suite)
         path = tmp_path / "config.json"
-        small_config(tmp_path).save(path)
+        write_config(path, small_config(tmp_path))
         assert cli.main(["check-kernel", "--config", str(path), *flags]) == 2
         assert seen == forwarded

@@ -112,7 +112,7 @@ class TestSnapshot:
             return search(a, v, *args, **kwargs)
 
         with mock.patch.object(np, "searchsorted", counted):
-            snaps = S.run(state, 3000, schedule=[300, 1000, 3000], bin_edges=edges, k_max=3)
+            snaps = S.run(state, 3000, schedule=[300, 1000, 3000], bins=7, k_max=3)
         assert searched == [300, 2700]
         assert [s.n for s in snaps] == [300, 1000, 3000]
         fresh = binned_snapshot(state, 7, k_max=3)

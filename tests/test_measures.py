@@ -17,6 +17,11 @@ from pafit import measures as M
 from pafit import quantile_replay
 
 
+def indicator(lo, hi):
+    """The indicator of the window (lo, hi], as a catalog integrand."""
+    return M.Integrand("poly", coeffs=(1.0,), lo=lo, hi=hi)
+
+
 def mp_quad(fn, lo=0.0, hi=1.0):
     """Independent oracle: tanh-sinh quadrature handles endpoint singularities."""
     return float(mpmath.quad(fn, [lo, hi]))
@@ -387,7 +392,7 @@ class TestIntegrate:
     ):
         withatom = M.PiecewiseDensity((0.0, 1.0), ((0.25, 1.0),), atom_at_one=0.25)
         for dist in (two_point, cubic_gap, uniform, beta23, withatom):
-            total = M.integrate(dist, M.window_indicator(0.0, 1.0))
+            total = M.integrate(dist, indicator(0.0, 1.0))
             assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_exact_and_quadrature_paths_agree(self, cubic_gap, two_point):
@@ -395,7 +400,7 @@ class TestIntegrate:
             M.f_over_theta_minus_f(1.7),
             M.f_over_one_minus_f(),
             M.fitness_identity(),
-            M.window_indicator(0.2, 0.8),
+            indicator(0.2, 0.8),
         ):
             exact = M.integrate(cubic_gap, g, method="exact")
             quad = M.integrate(cubic_gap, g, method="quadrature")
@@ -444,7 +449,7 @@ class TestIntegrate:
         assert M.integrate(cubic_gap, g) == pytest.approx(oracle, abs=1e-10)
 
     def test_exclude_point_one(self, two_point):
-        g = M.window_indicator(0.0, 1.0).without_point_one()
+        g = indicator(0.0, 1.0).without_point_one()
         assert M.integrate(two_point, g) == pytest.approx(0.5, abs=1e-15)
 
     def test_non_catalog_integrand_rejected(self, uniform):

@@ -8,7 +8,9 @@ The two Poisson trees are pinned to the value the code wrote before the
 inverse-CDF replay and the batched token-urn bookkeeping; the ``pairs_demo``
 tree, which grows through a custom kernel, to the value written when custom
 kernels moved onto the token urn; the Poisson tree with ``edges.csv`` to the
-value written before the growth loop was compiled. The Poisson trees and
+value written before the growth loop was compiled, and the ``pairs_demo`` and
+``coupled_demo`` trees with ``edges.csv`` to the values written while growth
+still recorded the edge log beside the urn. The Poisson trees and
 the built-in models' ``check-kernel`` reports are written once more with
 the compiler disabled, through the loop's Python twin. The
 ``theory/`` trees of five laws are pinned to the values written before the
@@ -41,12 +43,16 @@ PINNED = {
     "poisson_cubic_gap": "00e8722c6292c7507b39681e284d613905d9dd1198f8d91dec256564c1db146a",
     "pairs_demo_two_point": "82762a2c3024c83780b530819398518be7a93f9d7f8dff36467864dfccad4a1f",
     "poisson_two_point_edge_log": "7e045001e0f8f40e91b353d0dd6f03f741dccec970d5c167192f68fdfee312d4",
+    "pairs_demo_edge_log": "077750d3ce87a2ec8eb594d8a646d6bf09767bcfc66a644cac9204144d73c671",
+    "coupled_demo_edge_log": "7fb71af8981f8db181d1c0341a24f0a74515f1c7b8677f765d35ae5a26743d1d",
 }
-SIM_CONFIGS = {  # name -> (model, fitness, lambda, edge_log)
-    "poisson_two_point": ("poisson", TWO_POINT, 2.0, False),
-    "poisson_cubic_gap": ("poisson", CUBIC_GAP, 1.0, False),
-    "pairs_demo_two_point": ("pairs_demo", TWO_POINT, 2.0, False),
-    "poisson_two_point_edge_log": ("poisson", TWO_POINT, 2.0, True),
+SIM_CONFIGS = {  # name -> (model, fitness, lambda, edge_log, n_target)
+    "poisson_two_point": ("poisson", TWO_POINT, 2.0, False, 4000),
+    "poisson_cubic_gap": ("poisson", CUBIC_GAP, 1.0, False, 4000),
+    "pairs_demo_two_point": ("pairs_demo", TWO_POINT, 2.0, False, 4000),
+    "poisson_two_point_edge_log": ("poisson", TWO_POINT, 2.0, True, 4000),
+    "pairs_demo_edge_log": ("pairs_demo", TWO_POINT, 2.0, True, 2000),
+    "coupled_demo_edge_log": ("coupled_demo", TWO_POINT, 1.0, True, 2000),
 }
 PINNED_THEORY = {
     "two_point_lam2": "f98588d1386823e95be1b0d0641b248e96d64448460e36a41e12c3c31c7fc2f6",
@@ -83,14 +89,16 @@ def tree_digest(root: Path) -> str:
     return digest.hexdigest()
 
 
-def small_config(out: Path, model: str, fitness: dict, lam: float, edge_log=False):
+def small_config(
+    out: Path, model: str, fitness: dict, lam: float, edge_log=False, n_target=4000
+):
     return ExperimentConfig.from_dict(
         {
             "schema_version": 1,
             "model": {"type": model},
             "lambda": lam,
             "fitness": fitness,
-            "n_target": 4000,
+            "n_target": n_target,
             "replicas": 2,
             "base_seed": 9103,
             "bins": 20,
@@ -111,6 +119,13 @@ def config_for(name: str, out: Path) -> ExperimentConfig:
 def test_sim_tree_digest_is_pinned(name, workers, tmp_path):
     config = config_for(name, tmp_path)
     cli.cmd_simulate(config, out_dir=tmp_path, threads=workers)
+    assert tree_digest(tmp_path / "sim") == PINNED[name]
+
+
+def test_edges_csv_is_written_the_same_across_chunks(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_CSV_CHUNK", 7)  # many chunk boundaries, most inside a step
+    name = "poisson_two_point_edge_log"
+    cli.cmd_simulate(config_for(name, tmp_path), out_dir=tmp_path, threads=1)
     assert tree_digest(tmp_path / "sim") == PINNED[name]
 
 

@@ -1,8 +1,9 @@
 """Simulator tests: construction, one-step laws, bookkeeping, determinism,
 and the token urn, which every model draws from: its draws against a naive
 linear-scan oracle over the impacts, the urn under built-in and
-custom-kernel growth, the compiled growth loop against its Python twin, and
-batched resampling of a frozen transition against one draw at a time."""
+custom-kernel growth, the compiled growth loop against its Python twin,
+batched resampling of a frozen transition against one draw at a time, and
+the edge log read off the urn against each step's impact differences."""
 
 import itertools
 import math
@@ -284,32 +285,58 @@ class TestTokenUrn:
         # checkpoints and single steps only cut the same chain into pieces:
         # the bookkeeping batched per piece must not depend on where
         dist, model = law_and_model(density, kind, lam)
-        cut = S.new_graph(dist, lam, model, seed=seed, edge_log=True)
+        cut = S.new_graph(dist, lam, model, seed=seed)
         S.run(cut, n, schedule=sorted({c for c in cuts if c <= n}), bins=5, k_max=3)
         for _ in range(tail):
             step(cut)
-        whole = S.new_graph(dist, lam, model, seed=seed, edge_log=True)
+        whole = S.new_graph(dist, lam, model, seed=seed)
         S.run(whole, n + tail, schedule=[n + tail], bins=5, k_max=3)
         assert cut.tokens == whole.tokens
         assert cut.fitness == whole.fitness
         assert cut.impact == whole.impact
-        assert cut.edge_log == whole.edge_log
         assert cut.total_weight.hex() == whole.total_weight.hex()
         assert (cut.total_impact, cut.edge_count) == (whole.total_impact, whole.edge_count)
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lam=st.sampled_from([1.0, 2.0, 3.0]),
+        kind=st.sampled_from(["poisson", "multinomial", "pairs"]),
+        density=st.booleans(),
+        n=st.integers(1, 120),
+    )
+    def test_edge_log_reads_each_step_off_the_urn(self, seed, lam, kind, density, n):
+        # one vertex at a time: step v's targets are its impact differences,
+        # listed in the order they first occur among the tokens it appended
+        dist, model = law_and_model(density, kind, lam)
+        state = S.new_graph(dist, lam, model, seed=seed)
+        reference = []
+        while state.n < n:
+            v, impact, begin = state.n, list(state.impact), len(state.tokens)
+            step(state)
+            gained = {i: z - before for i, (z, before) in enumerate(zip(state.impact, impact))}
+            drawn = state.tokens[begin:]
+            assert drawn[-1] == v
+            order = list(dict.fromkeys(drawn[:-1]))
+            assert sorted(order) == [i for i, d in gained.items() if d]
+            reference += [[v, i, gained[i]] for i in order]
+        rows = S.edge_log(state)
+        assert rows.dtype == np.intc and rows.shape == (len(reference), 3)
+        assert rows.tolist() == reference
+
     @pytest.mark.parametrize("model", [S.PoissonOutdegree(), S.FixedOutdegree()])
     def test_resampling_leaves_a_grown_state_frozen(self, cubic_gap, model):
-        state = S.new_graph(cubic_gap, 2.0, model, seed=59, edge_log=True)
+        state = S.new_graph(cubic_gap, 2.0, model, seed=59)
         S.run(state, 500, bins=5, k_max=3)
         before = (
             list(state.tokens), list(state.fitness), list(state.impact),
-            state.total_weight, state.total_impact, state.edge_count, list(state.edge_log),
+            state.total_weight, state.total_impact, state.edge_count,
         )
         drawn = K.sample_counts(model, state, state.streams, 50, range(state.n)).sum()
         assert drawn > 0
         after = (
             list(state.tokens), list(state.fitness), list(state.impact),
-            state.total_weight, state.total_impact, state.edge_count, list(state.edge_log),
+            state.total_weight, state.total_impact, state.edge_count,
         )
         assert after == before
 
@@ -376,31 +403,31 @@ class TestRun:
 
     def test_run_equals_repeated_step(self, two_point):
         # one checkpoint and 399 one-vertex checkpoints must produce identical states
-        a = S.new_graph(two_point, 2.0, S.FixedOutdegree(), seed=23, edge_log=True)
+        a = S.new_graph(two_point, 2.0, S.FixedOutdegree(), seed=23)
         S.run(a, 400, schedule=[400], bins=5, k_max=3)
-        b = S.new_graph(two_point, 2.0, S.FixedOutdegree(), seed=23, edge_log=True)
+        b = S.new_graph(two_point, 2.0, S.FixedOutdegree(), seed=23)
         while b.n < 400:
             step(b)
         assert a.fitness == b.fitness
         assert a.impact == b.impact
-        assert a.edge_log == b.edge_log
+        assert np.array_equal(S.edge_log(a), S.edge_log(b))
 
     def test_poisson_run_equals_repeated_step(self, uniform):
-        a = S.new_graph(uniform, 1.0, S.PoissonOutdegree(), seed=29, edge_log=True)
+        a = S.new_graph(uniform, 1.0, S.PoissonOutdegree(), seed=29)
         S.run(a, 400, schedule=[100, 400], bins=5, k_max=3)
-        b = S.new_graph(uniform, 1.0, S.PoissonOutdegree(), seed=29, edge_log=True)
+        b = S.new_graph(uniform, 1.0, S.PoissonOutdegree(), seed=29)
         while b.n < 400:
             step(b)
         assert a.fitness == b.fitness
         assert a.impact == b.impact
-        assert a.edge_log == b.edge_log
+        assert np.array_equal(S.edge_log(a), S.edge_log(b))
 
     def test_determinism_same_seed(self, cubic_gap):
         runs = []
         for _ in range(2):
-            state = S.new_graph(cubic_gap, 1.0, S.PoissonOutdegree(), seed=31, edge_log=True)
+            state = S.new_graph(cubic_gap, 1.0, S.PoissonOutdegree(), seed=31)
             snaps = S.run(state, 2000, bins=10, k_max=5)
-            runs.append((state.edge_log, [s.fbar for s in snaps]))
+            runs.append((S.edge_log(state).tolist(), [s.fbar for s in snaps]))
         assert runs[0] == runs[1]
 
     def test_replicas_differ(self, cubic_gap):
