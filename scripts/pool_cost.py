@@ -8,10 +8,14 @@ separately, each over --repeats runs (median, min-max):
   pool     start-up and tear-down of an idle Pool(workers)
   pickle   size and dumps+loads time of one replica's result
   alone    one replica in a pool of one: the pool's wall time and the
-           replica's own time inside its worker
+           replica's own wall and process CPU time inside its worker
   pooled   `workers` replicas at once in a pool of `workers`
   spin     a pure-Python loop alone, then `workers` copies at once, which
            shows what two busy processes cost each other on this machine
+
+A replica's process CPU time counts every thread of its worker, so a CPU
+time above its wall time shows a native thread pool (such as a BLAS
+library's) busy beside the replica.
 
     PYTHONPATH=src python scripts/pool_cost.py --fitness cubic --n 200000
 """
@@ -19,6 +23,7 @@ separately, each over --repeats runs (median, min-max):
 import argparse
 import multiprocessing
 import pickle
+import resource
 import statistics
 import sys
 import time
@@ -35,10 +40,15 @@ def _idle(_):
     return None
 
 
+def _cpu_seconds() -> float:
+    usage = resource.getrusage(resource.RUSAGE_SELF)  # all threads of this process
+    return usage.ru_utime + usage.ru_stime
+
+
 def _timed_replica(job):
-    start = time.perf_counter()
+    cpu, start = _cpu_seconds(), time.perf_counter()
     result = cli._replica_worker(job)
-    return time.perf_counter() - start, result
+    return time.perf_counter() - start, _cpu_seconds() - cpu, result
 
 
 def _spin(loops: int) -> float:
@@ -90,7 +100,7 @@ def main() -> int:
     idle = [_pooled(range(args.workers), _idle, args.workers)[0] for _ in range(args.repeats)]
     print(f"  pool start+teardown   {describe(idle)}")
 
-    _, result = _timed_replica(jobs[0])
+    *_, result = _timed_replica(jobs[0])
     blob = pickle.dumps(result)
     start = time.perf_counter()
     for _ in range(args.repeats):
@@ -98,16 +108,20 @@ def main() -> int:
     per_copy = (time.perf_counter() - start) / args.repeats
     print(f"  pickle                {len(blob) / 1e3:.1f} kB per replica, dumps+loads {per_copy * 1e3:.2f} ms")
 
-    alone_wall, alone_self, pooled_wall, pooled_self = [], [], [], []
+    alone_wall, alone_self, alone_cpu, pooled_wall, pooled_self, pooled_cpu = [], [], [], [], [], []
     for _ in range(args.repeats):
         wall, results = _pooled(jobs[:1], _timed_replica, 1)
         alone_wall.append(wall)
         alone_self.append(results[0][0])
+        alone_cpu.append(results[0][1])
         wall, results = _pooled(jobs, _timed_replica, args.workers)
         pooled_wall.append(wall)
-        pooled_self.extend(seconds for seconds, _ in results)
-    print(f"  alone   pool wall     {describe(alone_wall)}, replica {describe(alone_self)}")
-    print(f"  pooled  pool wall     {describe(pooled_wall)}, each replica {describe(pooled_self)}")
+        pooled_self.extend(seconds for seconds, _, _ in results)
+        pooled_cpu.extend(cpu for _, cpu, _ in results)
+    print(f"  alone   pool wall     {describe(alone_wall)}, replica {describe(alone_self)},"
+          f" CPU {describe(alone_cpu)}")
+    print(f"  pooled  pool wall     {describe(pooled_wall)}, each replica {describe(pooled_self)},"
+          f" CPU {describe(pooled_cpu)}")
 
     spin_alone = [_spin(args.spin) for _ in range(args.repeats)]
     spin_pooled = []

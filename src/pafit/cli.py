@@ -39,12 +39,18 @@ def _fmt(value) -> str:
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
+    """Write ``header`` and ``rows``. An integer array's rows are plain ints,
+    which need no :func:`_fmt`: they go out a chunk of Python ints at a time."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        if isinstance(rows, np.ndarray) and rows.dtype.kind in "iu":
+            for lo in range(0, len(rows), _CSV_CHUNK):
+                writer.writerows(rows[lo : lo + _CSV_CHUNK].tolist())
+        else:
+            for row in rows:
+                writer.writerow([_fmt(v) for v in row])
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -170,12 +176,8 @@ def _write_replica_files(out: Path, replica: int, snapshots, edge_log) -> None:
                 + [snap.impact_counts[k][b] / snap.n for k in range(k_max + 1)]
             )
         write_csv(rep_dir / f"hist_{snap.n:08d}.csv", header, rows)
-    if edge_log is not None:  # rows as Python ints, a chunk at a time
-        rows = (
-            row for lo in range(0, len(edge_log), _CSV_CHUNK)
-            for row in edge_log[lo : lo + _CSV_CHUNK].tolist()
-        )
-        write_csv(rep_dir / "edges.csv", ["source", "target", "multiplicity"], rows)
+    if edge_log is not None:
+        write_csv(rep_dir / "edges.csv", ["source", "target", "multiplicity"], edge_log)
 
 
 def cmd_simulate(

@@ -73,6 +73,7 @@ from . import measures
 from .measures import FitnessDistribution, MeasureError
 
 _BLOCK = 8192
+_AUDIT_CHUNK = 1 << 16  # vertices re-summed per numpy call, as empirics.snapshot counts
 
 
 class AuditError(RuntimeError):
@@ -375,7 +376,14 @@ def _audit(state: GraphState, fbar_track: list[tuple[int, float]]) -> None:
             f"token urn broken at n={n}: {len(state.tokens)} tokens, "
             f"total_impact={state.total_impact}"
         )
-    resum = float(np.dot(np.asarray(state.fitness), np.asarray(state.impact, dtype=float)))
+    # sum of F_i Z_i in 64k-vertex chunks, the chunk sums added exactly: no
+    # float copy of impact, and no BLAS call, whose threads would spin on
+    # the CPU a pool's other worker needs
+    fitness, impact = np.asarray(state.fitness), np.asarray(state.impact)
+    resum = math.fsum(
+        np.multiply(fitness[lo : lo + _AUDIT_CHUNK], impact[lo : lo + _AUDIT_CHUNK]).sum()
+        for lo in range(0, n, _AUDIT_CHUNK)
+    )
     if abs(state.total_weight - resum) > 1e-9 * max(resum, 1.0):
         raise AuditError(
             f"total weight drifted at n={n}: running total {state.total_weight} vs re-sum {resum}"

@@ -4,6 +4,8 @@ reproducibility, and output-directory confinement."""
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -175,6 +177,30 @@ class TestSimulate:
         cli.cmd_simulate(config, out_dir=tmp_path / "out", threads=1)
         edges = (tmp_path / "out/sim/replica_000/edges.csv").read_text().splitlines()
         assert len(edges) >= 200  # header + at least one edge row per step
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU: a native pool runs one thread")
+    def test_replica_keeps_to_one_cpu(self, tmp_path):
+        # a pool worker that wakes a native thread pool (a BLAS call) leaves
+        # its threads spinning on the CPU the pool's other worker needs
+        probe = f"""
+import resource, time
+from pafit import cli, simulator
+config = {small_config(tmp_path, model={"type": "poisson"}, n_target=200_000).to_dict()!r}
+simulator._compiled_urn()
+def cpu():
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return usage.ru_utime + usage.ru_stime
+cpu_0, wall_0 = cpu(), time.perf_counter()
+cli._replica_worker((config, 0))
+print(time.perf_counter() - wall_0, cpu() - cpu_0)
+"""
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True, check=True, timeout=300,
+        )
+        wall, cpu = map(float, out.stdout.split())
+        assert cpu <= 1.3 * wall, f"replica used {cpu:.3f} s of CPU in {wall:.3f} s"
 
 
 class TestCompare:

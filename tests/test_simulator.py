@@ -355,6 +355,23 @@ class TestTokenUrn:
         with pytest.raises(S.AuditError, match="total weight"):
             S.run(state, 128, bins=5, k_max=3)
 
+    def test_audit_resums_across_chunks(self):
+        # three whole re-sum chunks and a partial one; the bound is 1e-9 relative
+        n = 3 * S._AUDIT_CHUNK + 12_345
+        rng = np.random.default_rng(61)
+        fitness = 1.0 - rng.random(n)
+        impact = rng.integers(1, 50, size=n)
+        state = S.GraphState.from_arrays(fitness, impact, 2.0, pick_kernel(2.0))
+        S._audit(state, [])  # W as built, a running sum
+        exact = math.fsum(f * z for f, z in zip(fitness.tolist(), impact.tolist()))
+        for drift in (0.0, 0.5e-9):
+            state.total_weight = exact * (1.0 + drift)
+            S._audit(state, [])
+        for drift in (2e-9, -2e-9):
+            state.total_weight = exact * (1.0 + drift)
+            with pytest.raises(S.AuditError, match="total weight"):
+                S._audit(state, [])
+
     def test_every_state_keeps_tokens_and_a_pick(self, uniform):
         for model in (S.PoissonOutdegree(), S.FixedOutdegree(), pick_kernel(1.0)):
             state = S.new_graph(uniform, 1.0, model, seed=53)
