@@ -39,13 +39,14 @@ def _fmt(value) -> str:
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
-    """Write ``header`` and ``rows``. An integer array's rows are plain ints,
-    which need no :func:`_fmt`: they go out a chunk of Python ints at a time."""
+    """Write ``header`` and ``rows``. A numeric array's rows go out a chunk
+    of Python numbers at a time, without :func:`_fmt`: ``csv`` writes an
+    int with ``str`` and a float with ``repr``, as :func:`_fmt` does."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        if isinstance(rows, np.ndarray) and rows.dtype.kind in "iu":
+        if isinstance(rows, np.ndarray) and np.issubdtype(rows.dtype, np.number):
             for lo in range(0, len(rows), _CSV_CHUNK):
                 writer.writerows(rows[lo : lo + _CSV_CHUNK].tolist())
         else:
@@ -163,19 +164,16 @@ def _write_replica_files(out: Path, replica: int, snapshots, edge_log) -> None:
         ],
     )
     for snap in snapshots:
-        k_max = snap.k_max
         header = (
             ["bin_lo", "bin_hi", "gamma_mass"]
-            + [f"impact_{k}" for k in range(1, k_max + 1)]
+            + [f"impact_{k}" for k in range(1, snap.k_max + 1)]
             + ["impact_tail"]
         )
-        rows = []
-        for b in range(len(snap.edges) - 1):
-            rows.append(
-                [snap.edges[b], snap.edges[b + 1], snap.gamma_counts[b] / snap.n]
-                + [snap.impact_counts[k][b] / snap.n for k in range(k_max + 1)]
-            )
-        write_csv(rep_dir / f"hist_{snap.n:08d}.csv", header, rows)
+        n = snap.n
+        table = np.column_stack(
+            (snap.edges[:-1], snap.edges[1:], snap.gamma_counts / n, (snap.impact_counts / n).T)
+        )
+        write_csv(rep_dir / f"hist_{n:08d}.csv", header, table)
     if edge_log is not None:
         write_csv(rep_dir / "edges.csv", ["source", "target", "multiplicity"], edge_log)
 

@@ -138,7 +138,7 @@ def snapshot(state, edges, bin_index: np.ndarray, *, k_max: int = 10) -> Empiric
     return EmpiricalSnapshot(
         n=n,
         lam=state.lam,
-        fbar=state.total_weight / (state.lam * n),
+        fbar=simulator.fbar(state),
         edges=edges,
         gamma_counts=gamma_counts,
         impact_counts=impact_counts,

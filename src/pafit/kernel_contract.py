@@ -129,7 +129,7 @@ def sample_counts(
     slot = {v: j for j, v in enumerate(tracked)}
     out = np.zeros((trials, len(tracked)), dtype=np.int32)
     if isinstance(model, CustomKernel):
-        view, rng = state.view(), streams.kernel_rng
+        view, rng = state.view(), streams.kernel
         for t in range(trials):
             for i, c in model.increments(view, rng).items():
                 j = slot.get(i)

@@ -407,21 +407,12 @@ def _diverges(dist: FitnessDistribution, g: Integrand) -> bool:
     return dist.density_at_one() != 0.0
 
 
-def integrate(
-    dist: FitnessDistribution,
-    g: Integrand,
-    *,
-    tol: float = DEFAULT_TOL,
-    method: str = "auto",
-) -> float:
-    """Integrate a catalog integrand against mu over the window (lo, hi].
+def integrate(dist: FitnessDistribution, g: Integrand, *, tol: float = DEFAULT_TOL) -> float:
+    """Integrate a catalog integrand against mu over the window (lo, hi]:
+    in closed form where one is known, by quadrature otherwise.
 
-    Returns ``math.inf`` for divergent integrals. ``method`` is one of
-    ``auto`` (closed form when available, quadrature otherwise), ``exact``
-    (closed form or raise) and ``quadrature``.
+    Returns ``math.inf`` for divergent integrals.
     """
-    if method not in ("auto", "exact", "quadrature"):
-        raise MeasureError(f"unknown method {method!r}")
     if not isinstance(g, Integrand):
         raise MeasureError("integrand must come from the measures catalog")
     if g.lo >= g.hi:
@@ -432,7 +423,7 @@ def integrate(
     if isinstance(dist, FiniteDiscrete):
         return _integrate_discrete(dist, g)
     if isinstance(dist, Uniform01):
-        return integrate(dist._as_piecewise(), g, tol=tol, method=method)
+        return integrate(dist._as_piecewise(), g, tol=tol)
 
     atom_part = 0.0
     if dist.atom_at_one > 0.0 and g.hi >= 1.0 and g.include_one:
@@ -442,26 +433,11 @@ def integrate(
         atom_part = dist.atom_at_one * value
 
     if isinstance(dist, BetaShape):
-        if method == "exact":
-            exact = _beta_exact(dist, g)
-            if exact is None:
-                raise MeasureError("no closed form for this integrand against a Beta body")
-            return exact + atom_part
-        if method == "auto":
-            exact = _beta_exact(dist, g)
-            if exact is not None:
-                return exact + atom_part
-        return _beta_quad(dist, g, tol) + atom_part
-
+        exact = _beta_exact(dist, g)
+        return (_beta_quad(dist, g, tol) if exact is None else exact) + atom_part
     # piecewise-polynomial density
-    if method == "quadrature":
-        return _piecewise_quad(dist, g, tol) + atom_part
     exact = _piecewise_exact(dist, g)
-    if exact is not None:
-        return exact + atom_part
-    if method == "exact":
-        raise MeasureError(f"no closed form for integrand kind {g.kind!r}")
-    return _piecewise_quad(dist, g, tol) + atom_part
+    return (_piecewise_quad(dist, g, tol) if exact is None else exact) + atom_part
 
 
 def _integrate_discrete(dist: FiniteDiscrete, g: Integrand) -> float:

@@ -48,9 +48,12 @@ value's position in a stream never depends on internal batching:
 PCG64 generator, with channel 0 = fitness inverse-CDF uniforms (one per
 vertex), channel 1 = edge-target uniforms (two per try: the first picks the
 token, the second decides acceptance), channel 2 = outdegree counts,
-channel 3 = custom-kernel draws. Channels 1 and 2 are each read from one
-block and one position by every consumer: the outdegrees of a growth call
-or of resampled transitions (:func:`frozen_targets`) and the growth loop.
+channel 3 = custom-kernel draws. A generator draws the same values however
+its reads are cut, so channels 0, 2 and 3 are plain generator calls of the
+size each caller needs. Only channel 1 is read from a block, at one
+position, by :func:`_draw_steps` alone, which growth and resampled
+transitions (:func:`frozen_targets`) both run through: the compiled loop
+reads the block in place.
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ from . import measures
 from .measures import FitnessDistribution, MeasureError
 
 _BLOCK = 8192
-_AUDIT_CHUNK = 1 << 16  # vertices re-summed per numpy call, as empirics.snapshot counts
+_CHUNK = 1 << 16  # vertices per numpy pass of the audit and the edge log, as empirics counts
 
 
 class AuditError(RuntimeError):
@@ -81,11 +84,9 @@ class AuditError(RuntimeError):
 
 
 class _Stream:
-    """One random channel, read in numpy blocks from one position.
-
-    Array reads (``take``) and the growth loop (``block``, ``pos`` and
-    ``advance``) move the same position, so a value's place in the stream
-    never depends on which of them read it.
+    """Channel 1, read in numpy blocks from one position by its only reader,
+    :func:`_draw_steps`. The compiled loop reads a block's uniforms in place,
+    and a block lets the CPU overlap the urn's random token lookups.
     """
 
     __slots__ = ("_refill", "block", "pos")
@@ -95,69 +96,31 @@ class _Stream:
         self.block = np.empty(0)
         self.pos = 0
 
-    def advance(self, k: int) -> None:
-        self.pos += k
-
     def fill(self) -> None:
         """Start a new block after the values not yet read."""
         rest = self.block[self.pos :]
         self.block = np.concatenate((rest, self._refill())) if rest.size else self._refill()
         self.pos = 0
 
-    def take(self, size: int) -> np.ndarray:
-        parts = []
-        while True:
-            if self.pos == len(self.block):
-                self.fill()
-            part = self.block[self.pos : self.pos + size]
-            parts.append(part)
-            self.advance(len(part))
-            size -= len(part)
-            if not size:
-                return np.concatenate(parts) if len(parts) > 1 else part
-
 
 class ReplicaStreams:
-    """Per-replica random channels with batch-size-independent draws."""
+    """A replica's four random channels: ``fitness`` (0), ``edges`` (1, the
+    growth loop's block), ``counts`` (2) and ``kernel`` (3). Channels 0, 2
+    and 3 are plain generators, which draw the same values however their
+    reads are cut."""
 
-    __slots__ = (
-        "base_seed",
-        "replica",
-        "_fitness_rng",
-        "_count_rng",
-        "kernel_rng",
-        "edges",
-        "_counts",
-        "_clam",
-    )
+    __slots__ = ("replica", "fitness", "edges", "counts", "kernel")
 
     def __init__(self, base_seed: int, replica: int = 0):
-        self.base_seed = int(base_seed)
         self.replica = int(replica)
 
         def generator(channel: int) -> np.random.Generator:
-            seq = np.random.SeedSequence(
-                entropy=self.base_seed, spawn_key=(self.replica, channel)
-            )
+            seq = np.random.SeedSequence(entropy=int(base_seed), spawn_key=(self.replica, channel))
             return np.random.Generator(np.random.PCG64(seq))
 
-        self._fitness_rng = generator(0)
+        self.fitness, self.counts, self.kernel = generator(0), generator(2), generator(3)
         edge_rng = generator(1)
-        self._count_rng = generator(2)
-        self.kernel_rng = generator(3)
         self.edges = _Stream(lambda: edge_rng.random(_BLOCK))
-        self._counts: _Stream | None = None
-        self._clam: float | None = None
-
-    def poisson_counts(self, lam: float) -> _Stream:
-        """Stream of Poisson(lam) outdegrees; a new lam starts a new block."""
-        if self._clam != lam:
-            self._counts = _Stream(lambda: self._count_rng.poisson(lam, _BLOCK))
-            self._clam = lam
-        return self._counts
-
-    def fitness_uniforms(self, size: int) -> np.ndarray:
-        return self._fitness_rng.random(size)
 
 
 @dataclass(frozen=True)
@@ -179,7 +142,7 @@ class PoissonOutdegree:
     label: str = "poisson"
 
     def outdegrees(self, lam: float, streams: ReplicaStreams, size: int) -> np.ndarray:
-        return streams.poisson_counts(lam).take(size)
+        return streams.counts.poisson(lam, size)
 
 
 @dataclass(frozen=True)
@@ -271,9 +234,11 @@ class GraphState:
         tokens, fitness = self.tokens, self.fitness
 
         def pick(rng: np.random.Generator) -> int:
-            target: list[int] = []
-            _draw_targets(tokens, fitness, 1, rng.random, target.append)
-            return target[0]
+            size = len(tokens)  # int(u * size) < size for every double u < 1
+            i = tokens[int(rng.random() * size)]
+            while rng.random() >= fitness[i]:
+                i = tokens[int(rng.random() * size)]
+            return i
 
         return KernelView(
             n=self.n,
@@ -320,7 +285,7 @@ def new_graph(
     if isinstance(model, FixedOutdegree) and lam != int(lam):
         raise MeasureError(f"fixed-outdegree model needs integer lambda, got {lam}")
     state = GraphState(dist, lam, model, ReplicaStreams(seed, replica))
-    state._add_vertex(float(measures.quantile(dist, state.streams.fitness_uniforms(1))[0]))
+    state._add_vertex(float(measures.quantile(dist, state.streams.fitness.random(1))[0]))
     return state
 
 
@@ -338,19 +303,28 @@ def edge_log(state: GraphState) -> np.ndarray:
     exactly when it exceeds every earlier token; step v's targets are the
     tokens between own tokens v - 1 and v. A step's rows come in the order
     its targets first occur: the order a built-in model drew them in and a
-    custom kernel listed them in. A :meth:`GraphState.from_arrays` state,
-    never grown, has no such layout.
+    custom kernel listed them in. The steps are read ``_CHUNK`` vertices at
+    a time, each chunk starting at an own token. A
+    :meth:`GraphState.from_arrays` state, never grown, has no such layout.
     """
     tokens = np.frombuffer(state.tokens, dtype=np.intc)
-    own = np.ones(len(tokens), dtype=bool)
-    np.greater(tokens[1:], np.maximum.accumulate(tokens)[:-1], out=own[1:])
-    source = np.cumsum(own, dtype=np.intc)[~own]
-    target = tokens[~own]
-    key = source.astype(np.int64) * state.n + target
-    _, first, multiplicity = np.unique(key, return_index=True, return_counts=True)
-    order = np.argsort(first)
-    first = first[order]
-    return np.column_stack((source[first], target[first], multiplicity[order].astype(np.intc)))
+    top = np.maximum.accumulate(tokens)  # the last own token at or before each token
+    # a chunk starts at the own token of a multiple of _CHUNK, where top first reaches it
+    cuts = [*np.searchsorted(top, range(0, state.n, _CHUNK)).tolist(), len(tokens)]
+    parts = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        chunk_top = top[lo:hi]
+        edge = np.zeros(hi - lo, dtype=bool)  # False at own tokens, which raise top
+        np.equal(chunk_top[1:], chunk_top[:-1], out=edge[1:])
+        source, target = chunk_top[edge] + 1, tokens[lo:hi][edge]
+        key = source.astype(np.int64) * state.n + target
+        _, first, multiplicity = np.unique(key, return_index=True, return_counts=True)
+        order = np.argsort(first)
+        first = first[order]
+        parts.append(
+            np.column_stack((source[first], target[first], multiplicity[order].astype(np.intc)))
+        )
+    return np.concatenate(parts)
 
 
 def default_schedule(start_n: int, n_target: int) -> list[int]:
@@ -364,7 +338,7 @@ def default_schedule(start_n: int, n_target: int) -> list[int]:
     return sorted(points)
 
 
-def _audit(state: GraphState, fbar_track: list[tuple[int, float]]) -> None:
+def _audit(state: GraphState) -> None:
     n = state.n
     if state.total_impact != n + state.edge_count:
         raise AuditError(
@@ -381,8 +355,8 @@ def _audit(state: GraphState, fbar_track: list[tuple[int, float]]) -> None:
     # the CPU a pool's other worker needs
     fitness, impact = np.asarray(state.fitness), np.asarray(state.impact)
     resum = math.fsum(
-        np.multiply(fitness[lo : lo + _AUDIT_CHUNK], impact[lo : lo + _AUDIT_CHUNK]).sum()
-        for lo in range(0, n, _AUDIT_CHUNK)
+        np.multiply(fitness[lo : lo + _CHUNK], impact[lo : lo + _CHUNK]).sum()
+        for lo in range(0, n, _CHUNK)
     )
     if abs(state.total_weight - resum) > 1e-9 * max(resum, 1.0):
         raise AuditError(
@@ -400,7 +374,6 @@ def _audit(state: GraphState, fbar_track: list[tuple[int, float]]) -> None:
                 f"edge count {state.edge_count} implausible for Poisson total "
                 f"(mean {mean:.1f} +- {slack:.1f})"
             )
-    fbar_track.append((n, fbar(state)))
 
 
 def normalisation_lower_edge(dist: FitnessDistribution, lam: float) -> float:
@@ -415,7 +388,7 @@ def normalisation_lower_edge(dist: FitnessDistribution, lam: float) -> float:
     return min(mean_fit, mean_fit / lam) - 0.05
 
 
-def _final_corridor_audit(state: GraphState, fbar_track: list[tuple[int, float]]) -> None:
+def _final_corridor_audit(state: GraphState, snapshots) -> None:
     """A-priori normalisation corridor, applied to the time average of the
     second half of a long run of a built-in model.
 
@@ -428,7 +401,7 @@ def _final_corridor_audit(state: GraphState, fbar_track: list[tuple[int, float]]
     lam = state.lam
     lo = normalisation_lower_edge(state.dist, lam)
     hi = max(1.0 + lam, (1.0 + lam) / lam) + 0.05
-    half = [value for n, value in fbar_track if n >= state.n // 2]
+    half = [snap.fbar for snap in snapshots if snap.n >= state.n // 2]
     avg = sum(half) / len(half)
     if not lo <= avg <= hi:
         raise AuditError(
@@ -473,39 +446,18 @@ def run(
     start = state.n
     bin_index = np.empty(n_target, dtype=empirics.index_dtype(edges))
     empirics.fitness_bins(state.fitness, edges, out=bin_index[:start])
-    marks = measures.quantile(state.dist, state.streams.fitness_uniforms(n_target - start))
+    marks = measures.quantile(state.dist, state.streams.fitness.random(n_target - start))
     empirics.fitness_bins(marks, edges, out=bin_index[start:])
     snapshots = []
-    fbar_track: list[tuple[int, float]] = []
     for cp in checkpoints:
         _grow(state, marks[state.n - start : cp - start])
-        _audit(state, fbar_track)
+        _audit(state)
         snap = empirics.snapshot(state, edges, bin_index, k_max=k_max)
         snapshots.append(snap)
         for observer in observers:
             observer(state, snap)
-    _final_corridor_audit(state, fbar_track)
+    _final_corridor_audit(state, snapshots)
     return snapshots
-
-
-def _draw_targets(
-    tokens: array,
-    fitness: Sequence[float],
-    count: int,
-    uniform: Callable[[], float],
-    out: Callable[[int], object],
-) -> None:
-    """``count`` token-urn draws against the first ``len(tokens)`` tokens,
-    two uniforms per try, each target passed to ``out``: ``KernelView.pick``'s
-    draw on channel 3. The size is read once, so ``out`` may append to
-    ``tokens`` itself (``int(u * size)`` stays below ``size`` for every
-    double u < 1)."""
-    size = len(tokens)
-    for _ in range(count):
-        i = tokens[int(uniform() * size)]
-        while uniform() >= fitness[i]:
-            i = tokens[int(uniform() * size)]
-        out(i)
 
 
 def _grow(state: GraphState, marks: np.ndarray) -> None:
@@ -517,7 +469,8 @@ def _grow(state: GraphState, marks: np.ndarray) -> None:
     token, and a vertex gets its token after its own targets are drawn.
     :func:`_draw_steps` then draws and appends tokens, each step's targets
     and then the new vertex's own token, for the outdegrees of up to
-    ``_BLOCK`` steps at a time, and counts each appended token into its
+    ``_BLOCK`` steps at a time (channel 2 draws them in the same order
+    however they are cut), and counts each appended token into its
     owner's impact and into the total weight as it goes. Either way the
     urn holds each step's targets and then its own token, the layout
     :func:`edge_log` reads. The edge count and total impact come from the
@@ -525,7 +478,7 @@ def _grow(state: GraphState, marks: np.ndarray) -> None:
     """
     if isinstance(state.model, CustomKernel):
         for f in marks.tolist():
-            state.apply_increments(state.model.increments(state.view(), state.streams.kernel_rng))
+            state.apply_increments(state.model.increments(state.view(), state.streams.kernel))
             state._add_vertex(f)
         return
     start_n = state.n
@@ -572,8 +525,10 @@ def _draw_steps(
     (the new vertex's starts at 1) and its fitness to ``weight``.
 
     The loop runs in ``_urn.c`` or, where no C compiler works, in its twin
-    :func:`_urn_grow`, on ``stream``'s block from its position, until the
-    steps are done or fewer than two uniforms are left in the block.
+    :func:`_urn_grow`. This is the only reader of channel 1: the loop reads
+    ``stream``'s block in place from its position, until the steps are done
+    or fewer than two uniforms are left, and the block is refilled from
+    there.
     """
     counts = np.ascontiguousarray(counts, dtype=np.int64)  # what the C loop reads
     steps = len(counts)
@@ -586,7 +541,7 @@ def _draw_steps(
         if len(stream.block) - stream.pos < 2:
             stream.fill()
         u = stream.block[stream.pos :]
-        stream.advance(loop(tokens, fitness, impact, weight, counts, start, u, pos))
+        stream.pos += loop(tokens, fitness, impact, weight, counts, start, u, pos)
 
 
 def _urn_grow(

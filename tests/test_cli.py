@@ -407,7 +407,7 @@ class TestMain:
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("error", [simulator.AuditError, MeasureError])
     def test_failing_replica_is_named(self, tmp_path, monkeypatch, capsys, error, threads):
-        def audit(state, fbar_track):
+        def audit(state):
             if state.streams.replica == 1:
                 raise error("boom")
 

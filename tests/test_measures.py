@@ -402,13 +402,12 @@ class TestIntegrate:
             M.fitness_identity(),
             indicator(0.2, 0.8),
         ):
-            exact = M.integrate(cubic_gap, g, method="exact")
-            quad = M.integrate(cubic_gap, g, method="quadrature")
+            exact = M._piecewise_exact(cubic_gap, g)
+            quad = M._piecewise_quad(cubic_gap, g, M.DEFAULT_TOL)
+            assert M.integrate(cubic_gap, g) == exact
             assert quad == pytest.approx(exact, abs=1e-12)
         for g in (M.f_over_theta_minus_f(2.0), M.fitness_identity()):
-            assert M.integrate(two_point, g, method="exact") == M.integrate(
-                two_point, g, method="quadrature"
-            )
+            assert M.integrate(two_point, g) == M._integrate_discrete(two_point, g)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(law=st.data())
@@ -440,8 +439,9 @@ class TestIntegrate:
         lo = law.draw(st.floats(0.0, 0.95), label="lo")
         hi = law.draw(st.one_of(st.just(1.0), st.floats(lo + 0.05, 1.0)), label="hi")
         g = g.restrict(lo, hi)
-        exact = M.integrate(dist, g, method="exact")
-        assert M.integrate(dist, g, method="quadrature") == pytest.approx(exact, rel=1e-9)
+        exact = M._piecewise_exact(dist, g)
+        assert M.integrate(dist, g) == exact
+        assert M._piecewise_quad(dist, g, M.DEFAULT_TOL) == pytest.approx(exact, rel=1e-9)
 
     def test_window_restriction(self, cubic_gap):
         g = M.f_over_theta_minus_f(2.0).restrict(0.25, 0.75)

@@ -129,6 +129,13 @@ def test_edges_csv_is_written_the_same_across_chunks(tmp_path, monkeypatch):
     assert tree_digest(tmp_path / "sim") == PINNED[name]
 
 
+@pytest.mark.parametrize("name", sorted(n for n in PINNED if n.endswith("_edge_log")))
+def test_edge_log_is_read_the_same_across_chunks(name, tmp_path, monkeypatch):
+    monkeypatch.setattr(simulator, "_CHUNK", 7)  # steps read seven vertices at a time
+    cli.cmd_simulate(config_for(name, tmp_path), out_dir=tmp_path, threads=1)
+    assert tree_digest(tmp_path / "sim") == PINNED[name]
+
+
 @pytest.fixture
 def no_compiler(monkeypatch):
     """Growth and resampling in a process where ``_urn.c`` cannot be built."""

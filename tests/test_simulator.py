@@ -43,10 +43,8 @@ def linear_scan_pick(weights, u):
 
 
 def urn_draw(state, uniforms):
-    """One draw of the state's urn, fed a fixed uniform sequence."""
-    drawn = []
-    S._draw_targets(state.tokens, state.fitness, 1, iter(uniforms).__next__, drawn.append)
-    return drawn[0]
+    """One draw of the state's urn through its view, fed a fixed uniform sequence."""
+    return state.view().pick(SimpleNamespace(random=iter(uniforms).__next__))
 
 
 def step(state):
@@ -357,20 +355,20 @@ class TestTokenUrn:
 
     def test_audit_resums_across_chunks(self):
         # three whole re-sum chunks and a partial one; the bound is 1e-9 relative
-        n = 3 * S._AUDIT_CHUNK + 12_345
+        n = 3 * S._CHUNK + 12_345
         rng = np.random.default_rng(61)
         fitness = 1.0 - rng.random(n)
         impact = rng.integers(1, 50, size=n)
         state = S.GraphState.from_arrays(fitness, impact, 2.0, pick_kernel(2.0))
-        S._audit(state, [])  # W as built, a running sum
+        S._audit(state)  # W as built, a running sum
         exact = math.fsum(f * z for f, z in zip(fitness.tolist(), impact.tolist()))
         for drift in (0.0, 0.5e-9):
             state.total_weight = exact * (1.0 + drift)
-            S._audit(state, [])
+            S._audit(state)
         for drift in (2e-9, -2e-9):
             state.total_weight = exact * (1.0 + drift)
             with pytest.raises(S.AuditError, match="total weight"):
-                S._audit(state, [])
+                S._audit(state)
 
     def test_every_state_keeps_tokens_and_a_pick(self, uniform):
         for model in (S.PoissonOutdegree(), S.FixedOutdegree(), pick_kernel(1.0)):
@@ -521,7 +519,7 @@ def reference_draw(tokens, fitness, count, uniform):
 
 def reference_growth_and_draws(fitness, lam, seed, plan):
     """Pure-Python growth and resampled transitions of a Poisson state:
-    channel 1 read as one flat sequence and channel 2 in Poisson blocks,
+    channel 1 read as one flat sequence and channel 2 one count at a time,
     each through a single reader, and the urn as a list. ``plan`` holds
     ("run", n) and ("draw", repeats) items; returns the tokens and the
     drawn targets."""
@@ -532,7 +530,7 @@ def reference_growth_and_draws(fitness, lam, seed, plan):
         return flat_reader(lambda: block(rng))
 
     uniform = reader(1, lambda rng: rng.random(S._BLOCK))
-    count = reader(2, lambda rng: rng.poisson(lam, S._BLOCK))
+    count = reader(2, lambda rng: rng.poisson(lam, 1))
     tokens, drawn = [0], []
 
     def draw():
@@ -559,7 +557,7 @@ class TestGrowMemory:
         # call allocates nothing the size of its appended tokens beside the
         # state: no copy of them, no array of their fitnesses, no index cast
         state = S.new_graph(two_point, 2.0, S.PoissonOutdegree(), seed=83)
-        marks = M.quantile(two_point, state.streams.fitness_uniforms(100_000))
+        marks = M.quantile(two_point, state.streams.fitness.random(100_000))
         S._compiled_urn()  # built before tracing
         first = len(state.tokens)
         tracemalloc.start()
@@ -642,8 +640,10 @@ class TestCompiledUrn:
 
     def test_draws_and_growth_share_one_stream_per_channel(self, two_point):
         # transitions resampled between growth calls read where growth
-        # stopped, on both channels, across block boundaries of each; the
-        # growth call to 9000 takes its outdegrees in two chunks
+        # stopped, on both channels, across channel 1's block boundaries;
+        # the growth call to 9000 takes its outdegrees in two chunks, and
+        # the reference takes them one at a time, so channel 2's counts
+        # must not depend on how their reads are cut
         plan = [("draw", 2), ("run", 40), ("draw", 3), ("run", 41), ("draw", 1),
                 ("run", 9000), ("draw", 4), ("run", 12000), ("draw", 3)]
         state = S.new_graph(two_point, 2.0, S.PoissonOutdegree(), seed=71)
