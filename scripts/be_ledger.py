@@ -10,8 +10,9 @@ Density 3(1-f)^2 on (0, 1), lambda = 1, Poisson outdegree. Three parts:
   urn          an independent token-urn sampler (pick a uniform impact token,
                accept it with probability F) against pafit's simulator, plus a
                check of the fitness inverse CDF
-  run DIR      per-replica tails of a finished `pafit simulate` output tree, and
-               its bulk bins against fbar_n / (fbar_n - f) mu
+  run DIR      per-replica tails of a finished `pafit simulate` output tree
+               (such as `scripts/run_study.py be` writes), and its bulk bins
+               against fbar_n / (fbar_n - f) mu
 
     PYTHONPATH=src python scripts/be_ledger.py mean-field
     PYTHONPATH=src python scripts/be_ledger.py urn --replicas 40 --n 32768

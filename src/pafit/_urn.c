@@ -9,11 +9,11 @@
    compare each, so the results are the same bits; build with
    -ffp-contract=off and without -ffast-math to keep them so.
 
-   With a non-null impact, each appended token also counts one unit of its
-   owner's impact (the step's own vertex starts at 1) and adds the owner's
-   fitness to the running total weight *weight, in the order the tokens are
-   appended: the additions of a sequential sum over them, so the same bits.
-   A null impact leaves both alone (resampling a frozen state).
+   Each appended token also counts one unit of its owner's impact (the
+   step's own vertex starts at 1) and adds the owner's fitness to the
+   running total weight *weight, in the order the tokens are appended: the
+   additions of a sequential sum over them, so the same bits. Resampling a
+   frozen state runs one step on copies of its arrays.
 
    The loop stops at a try boundary when fewer than two of the nu uniforms
    are left. pos holds (step, edge, token count) on entry and exit, and
@@ -39,17 +39,13 @@ long urn_grow(int32_t *tokens, const double *fitness, int64_t *impact, double *w
                 k += 2;
             } while (u[k - 1] >= fitness[i]);
             tokens[ntok++] = i;
-            if (impact) {
-                impact[i]++;
-                w += fitness[i];
-            }
+            impact[i]++;
+            w += fitness[i];
         }
         long v = first + step;
         tokens[ntok++] = (int32_t)v;
-        if (impact) {
-            impact[v] = 1;
-            w += fitness[v];
-        }
+        impact[v] = 1;
+        w += fitness[v];
     }
 out:
     pos[0] = step;

@@ -1,8 +1,8 @@
 """Command-line orchestration: theory | simulate | compare | check-kernel.
 
 Every output is a function of (config, code version) alone: replica streams
-are derived from (base_seed, replica), aggregation is sorted by replica
-index regardless of worker completion order, JSON is written with sorted
+are derived from (base_seed, replica), replica results come back in replica
+order whatever order the workers finish in, JSON is written with sorted
 keys, and CSV numbers use full round-trip decimal formatting. Nothing is
 written outside the resolved output directory. The output directory comes
 from, in increasing precedence: the config's ``out_dir``, the ``PAFIT_OUT``
@@ -75,9 +75,9 @@ def resolve_out_dir(config: ExperimentConfig, flag_value: str | None) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def cmd_theory(config: ExperimentConfig, *, out_dir: Path | None = None) -> dict:
+def cmd_theory(config: ExperimentConfig, *, out_dir: Path) -> dict:
     """Write the limit summary (JSON) and plot-ready CSV tables."""
-    out = (out_dir or resolve_out_dir(config, None)) / "theory"
+    out = out_dir / "theory"
     dist = config.distribution()
     lam = config.lam
     summary = limit_theory.summarize(dist, lam)
@@ -130,7 +130,7 @@ def cmd_theory(config: ExperimentConfig, *, out_dir: Path | None = None) -> dict
 
 def _replica_worker(
     payload: tuple[dict, int],
-) -> tuple[int, list[EmpiricalSnapshot], np.ndarray | None]:
+) -> tuple[list[EmpiricalSnapshot], np.ndarray | None]:
     config_dict, replica = payload
     config = ExperimentConfig.from_dict(config_dict)
     try:
@@ -150,7 +150,7 @@ def _replica_worker(
         )
     except (simulator.AuditError, MeasureError) as exc:
         raise type(exc)(f"replica {replica}: {exc}") from exc
-    return replica, snapshots, simulator.edge_log(state) if config.edge_log else None
+    return snapshots, simulator.edge_log(state) if config.edge_log else None
 
 
 def _write_replica_files(out: Path, replica: int, snapshots, edge_log) -> None:
@@ -181,7 +181,7 @@ def _write_replica_files(out: Path, replica: int, snapshots, edge_log) -> None:
 def cmd_simulate(
     config: ExperimentConfig,
     *,
-    out_dir: Path | None = None,
+    out_dir: Path,
     threads: int | None = None,
 ) -> dict[int, ReplicaAggregate]:
     """Run the replicas (process pool), write per-replica and aggregate files.
@@ -191,24 +191,21 @@ def cmd_simulate(
     """
     if threads is not None and threads < 1:
         raise ConfigError(f"threads must be at least 1, got {threads}")
-    out = (out_dir or resolve_out_dir(config, None)) / "sim"
+    out = out_dir / "sim"
     jobs = [(config.to_dict(), r) for r in range(config.replicas)]
     workers = min(threads or os.cpu_count() or 1, config.replicas)
-    if workers > 1:
+    if workers > 1:  # map returns the results in job order, as the list does
         with multiprocessing.Pool(workers) as pool:
             results = pool.map(_replica_worker, jobs)
     else:
         results = [_replica_worker(job) for job in jobs]
-    results.sort(key=lambda item: item[0])
+    runs = [snapshots for snapshots, _ in results]
 
-    for replica, snapshots, edge_log in results:
+    for replica, (snapshots, edge_log) in enumerate(results):
         _write_replica_files(out, replica, snapshots, edge_log)
 
-    by_n: dict[int, list[EmpiricalSnapshot]] = {}
-    for _, snapshots, _ in results:
-        for snap in snapshots:
-            by_n.setdefault(snap.n, []).append(snap)
-    aggregates = {n: empirics.aggregate(snaps) for n, snaps in sorted(by_n.items())}
+    # every replica snapshots at the config's checkpoints; aggregate checks it
+    aggregates = {snaps[0].n: empirics.aggregate(snaps) for snaps in zip(*runs)}
 
     write_csv(
         out / "aggregate_trajectory.csv",
@@ -221,7 +218,7 @@ def cmd_simulate(
     write_csv(
         out / "trajectories_long.csv",
         ["replica", "n", "fbar"],
-        [(r, s.n, s.fbar) for r, snapshots, _ in results for s in snapshots],
+        [(r, s.n, s.fbar) for r, snapshots in enumerate(runs) for s in snapshots],
     )
     final = aggregates[config.n_target]
     write_csv(
@@ -262,7 +259,7 @@ def cmd_simulate(
             "bins": config.bins,
             "max_tracked_impact": config.max_tracked_impact,
             "checkpoints": [a.n for a in aggregates.values()],
-            "final_fbar_per_replica": [s[-1].fbar for _, s, _ in results],
+            "final_fbar_per_replica": [snapshots[-1].fbar for snapshots in runs],
         },
     )
     return aggregates
@@ -285,15 +282,14 @@ def _read_csv(path: Path) -> list[dict[str, float]]:
         ]
 
 
-def cmd_compare(config: ExperimentConfig, *, out_dir: Path | None = None) -> dict:
+def cmd_compare(config: ExperimentConfig, *, out_dir: Path) -> dict:
     """Join simulation aggregates with theory outputs; emit the report.
 
     The criteria are :func:`empirics.evaluate`'s; this reads its inputs and
     writes its outputs, after checking that both sides come from ``config``.
     """
-    root = out_dir or resolve_out_dir(config, None)
-    theory_dir, sim_dir = root / "theory", root / "sim"
-    out = root / "compare"
+    theory_dir, sim_dir = out_dir / "theory", out_dir / "sim"
+    out = out_dir / "compare"
     if not (theory_dir / "limit_summary.json").exists():
         raise MeasureError(f"no theory output under {theory_dir}; run `theory` first")
     if not (sim_dir / "summary.json").exists():
@@ -335,7 +331,7 @@ def cmd_compare(config: ExperimentConfig, *, out_dir: Path | None = None) -> dic
 def cmd_check_kernel(
     config: ExperimentConfig,
     *,
-    out_dir: Path | None = None,
+    out_dir: Path,
     ns: tuple[int, ...] | None = None,
     trials: int | None = None,
 ) -> dict:
@@ -343,7 +339,7 @@ def cmd_check_kernel(
     and ``trials`` default to ``run_contract_suite``'s."""
     from . import kernel_contract  # loads scipy.stats, which no other command needs
 
-    out = (out_dir or resolve_out_dir(config, None)) / "check_kernel"
+    out = out_dir / "check_kernel"
     sizes = {key: value for key, value in (("ns", ns), ("trials", trials)) if value is not None}
     report = kernel_contract.run_contract_suite(
         config.attachment_model(),

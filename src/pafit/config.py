@@ -99,6 +99,21 @@ _FIELDS = {
 }
 
 
+def _integer(key: str, value) -> int:
+    """A JSON integer, or an integral float such as ``1e6``."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{key} must be an integer, got {value!r}")
+
+
+def _number(key: str, value) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ConfigError(f"{key} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     model: dict
@@ -129,11 +144,11 @@ class ExperimentConfig:
             raise ConfigError("epsilon must lie in (0, 1]")
         if self.base_seed < 0:
             raise ConfigError("base_seed must be >= 0")
-        if self.checkpoints is not None:
-            cps = tuple(int(c) for c in self.checkpoints)
-            if any(c < 1 or c > self.n_target for c in cps) or list(cps) != sorted(set(cps)):
-                raise ConfigError("checkpoints must be sorted, unique, within [1, n_target]")
-            object.__setattr__(self, "checkpoints", cps)
+        cps = self.checkpoints
+        if cps is not None and (
+            any(c < 1 or c > self.n_target for c in cps) or list(cps) != sorted(set(cps))
+        ):
+            raise ConfigError("checkpoints must be sorted, unique, within [1, n_target]")
         # construct both to validate; raises ConfigError on bad specs
         dist = build_distribution(self.fitness)
         try:
@@ -159,19 +174,27 @@ class ExperimentConfig:
         if missing:
             raise ConfigError(f"missing config keys {sorted(missing)}")
         checkpoints = data.get("checkpoints")
+        if not isinstance(checkpoints, (list, tuple, type(None))):
+            raise ConfigError(f"checkpoints must be a list, got {checkpoints!r}")
+        edge_log = data.get("edge_log", False)
+        if not isinstance(edge_log, bool):
+            raise ConfigError(f"edge_log must be true or false, got {edge_log!r}")
         return cls(
             model=dict(data["model"]),
-            lam=float(data["lambda"]),
+            lam=_number("lambda", data["lambda"]),
             fitness=dict(data["fitness"]),
-            n_target=int(data["n_target"]),
+            n_target=_integer("n_target", data["n_target"]),
             out_dir=str(data["out_dir"]),
-            checkpoints=tuple(checkpoints) if checkpoints is not None else None,
-            replicas=int(data.get("replicas", 1)),
-            base_seed=int(data.get("base_seed", 0)),
-            bins=int(data.get("bins", 100)),
-            max_tracked_impact=int(data.get("max_tracked_impact", 10)),
-            epsilon=float(data.get("epsilon", 0.01)),
-            edge_log=bool(data.get("edge_log", False)),
+            checkpoints=(
+                None if checkpoints is None
+                else tuple(_integer("checkpoints", c) for c in checkpoints)
+            ),
+            replicas=_integer("replicas", data.get("replicas", 1)),
+            base_seed=_integer("base_seed", data.get("base_seed", 0)),
+            bins=_integer("bins", data.get("bins", 100)),
+            max_tracked_impact=_integer("max_tracked_impact", data.get("max_tracked_impact", 10)),
+            epsilon=_number("epsilon", data.get("epsilon", 0.01)),
+            edge_log=edge_log,
         )
 
     def to_dict(self) -> dict:

@@ -64,7 +64,6 @@ class EmpiricalSnapshot:
     """
 
     n: int
-    lam: float
     fbar: float
     edges: np.ndarray
     gamma_counts: np.ndarray
@@ -137,7 +136,6 @@ def snapshot(state, edges, bin_index: np.ndarray, *, k_max: int = 10) -> Empiric
     argmax = int(np.argmax(impact))
     return EmpiricalSnapshot(
         n=n,
-        lam=state.lam,
         fbar=simulator.fbar(state),
         edges=edges,
         gamma_counts=gamma_counts,
@@ -153,7 +151,6 @@ class ReplicaAggregate:
     """Cross-replica mean and standard error of one checkpoint's snapshots."""
 
     n: int
-    lam: float
     replicas: int
     edges: np.ndarray
     fbar_mean: float
@@ -193,7 +190,6 @@ def aggregate(snaps: list[EmpiricalSnapshot]) -> ReplicaAggregate:
     pk_mean, pk_stderr = _mean_stderr(np.stack([s.pk for s in snaps]))
     return ReplicaAggregate(
         n=first.n,
-        lam=first.lam,
         replicas=len(snaps),
         edges=first.edges,
         fbar_mean=float(fbar_mean[0]),
@@ -332,7 +328,10 @@ def evaluate(
                        fbar_final, [lo, theta_star])
         )
         tail = [row["fbar_mean"] for row in trajectory[-BE_TREND_CHECKPOINTS:]]
-        increasing = all(a < b for a, b in zip(tail, tail[1:]))
+        # a trend needs all its points: over fewer, all() of no pairs is vacuous
+        increasing = len(tail) == BE_TREND_CHECKPOINTS and all(
+            a < b for a, b in zip(tail, tail[1:])
+        )
         criteria.append(
             _criterion("normalisation_trend_increasing", increasing, tail, "strictly increasing")
         )

@@ -122,16 +122,16 @@ def sample_counts(
     """Resample the frozen one-step transition ``trials`` times.
 
     Row t holds the increments of the ``tracked`` vertices in draw t. A
-    custom kernel gets one view of the frozen state for all its draws; a
+    custom kernel draws every trial from the frozen state itself; a
     built-in model takes all the outdegrees at once and draws all their
-    targets as one step of the growth loop (:func:`frozen_targets`).
+    targets as one step of the growth loop on copies of the state's arrays
+    (:func:`frozen_targets`).
     """
     slot = {v: j for j, v in enumerate(tracked)}
     out = np.zeros((trials, len(tracked)), dtype=np.int32)
     if isinstance(model, CustomKernel):
-        view, rng = state.view(), streams.kernel
         for t in range(trials):
-            for i, c in model.increments(view, rng).items():
+            for i, c in model.increments(state, streams.kernel).items():
                 j = slot.get(i)
                 if j is not None:
                     out[t, j] = c
@@ -445,10 +445,10 @@ def pair_emitting_kernel(lam: float) -> CustomKernel:
     fails A4 only.
     """
 
-    def draw(view, rng):
+    def draw(state, rng):
         incs: dict[int, int] = {}
         for _ in range(rng.poisson(lam / 2.0)):
-            i = view.pick(rng)
+            i = state.pick(rng)
             incs[i] = incs.get(i, 0) + 2
         return incs
 
@@ -458,10 +458,10 @@ def pair_emitting_kernel(lam: float) -> CustomKernel:
 def uniform_target_kernel(lam: float) -> CustomKernel:
     """Ignores the weights entirely: uniform targets; fails A1."""
 
-    def draw(view, rng):
+    def draw(state, rng):
         incs: dict[int, int] = {}
         for _ in range(rng.poisson(lam)):
-            i = int(rng.integers(0, view.n))
+            i = int(rng.integers(0, state.n))
             incs[i] = incs.get(i, 0) + 1
         return incs
 
@@ -471,15 +471,17 @@ def uniform_target_kernel(lam: float) -> CustomKernel:
 def coupled_pair_kernel() -> CustomKernel:
     """Adds one edge to both of the two heaviest vertices together with
     probability 1/2; positively coupled increments fail A3 and A5. The two
-    are found once per view, so a frozen state's view pays one argsort."""
-    last = [None, None]  # the view last seen, and its two heaviest vertices
+    are found once per (state, size): a state's impacts change only as it
+    grows, so a frozen state pays one argsort."""
+    last = [None, None]  # the (state, size) last seen, and its two heaviest vertices
 
-    def draw(view, rng):
-        if view.n < 2:
+    def draw(state, rng):
+        if state.n < 2:
             return {0: 1} if rng.random() < 0.5 else {}
-        if last[0] is not view:
-            weights = np.asarray(view.fitness[: view.n]) * np.asarray(view.impact[: view.n])
-            last[:] = view, [int(i) for i in np.argsort(weights)[-2:]]
+        key = state, state.n
+        if last[0] != key:
+            weights = np.asarray(state.fitness) * np.asarray(state.impact)
+            last[:] = key, [int(i) for i in np.argsort(weights)[-2:]]
         if rng.random() < 0.5:
             return dict.fromkeys(last[1], 1)
         return {}
@@ -491,11 +493,11 @@ def bursty_variance_kernel(lam: float) -> CustomKernel:
     """Edges arrive in bursts of size ~ sqrt(n): the conditional mean still
     matches A1 but Var/mean grows like sqrt(n); fails the A2 trend."""
 
-    def draw(view, rng):
-        burst = max(2, int(math.isqrt(view.n)))
+    def draw(state, rng):
+        burst = max(2, int(math.isqrt(state.n)))
         incs: dict[int, int] = {}
         for _ in range(rng.poisson(lam / burst)):
-            i = view.pick(rng)
+            i = state.pick(rng)
             incs[i] = incs.get(i, 0) + burst
         return incs
 

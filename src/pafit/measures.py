@@ -375,7 +375,7 @@ def _piecewise_quantile(dist: PiecewiseDensity, targets: np.ndarray) -> np.ndarr
     both ends of the bracket by a margin that bounds the CDF's rounding
     error and its non-monotonicity.
     """
-    from .quantile_replay import BisectionReplay  # compiled only where a density is drawn
+    from .quantile_replay import BisectionReplay  # deferred: quantile_replay imports measures
 
     return BisectionReplay(dist)(np.asarray(targets, dtype=float))
 

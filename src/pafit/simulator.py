@@ -31,16 +31,17 @@ per try, one append per target. For the built-in models it runs as the C
 function of ``_urn.c``, compiled on first use and loaded with ``ctypes``;
 it makes the Python loop's double multiply, truncation and compare, so
 its output is the same bits. Where no C compiler works, its line-for-line
-Python twin runs instead. The same loop resamples a frozen state's
-transitions for ``kernel_contract``. As it appends a token, the loop
+Python twin runs instead. The same loop, run for one step on copies of a
+frozen state's arrays, resamples its transitions for ``kernel_contract``
+(:func:`frozen_targets`). As it appends a token, the loop
 also adds one to its owner's impact and the owner's fitness to W, so W
 is a running sum in the order the tokens are appended, and nothing
 passes over the appended tokens again. A replica's growth costs about
 0.15 µs per edge on the two-point law and 0.25 µs on the density, against
 1.0-1.5 and 1.9-2.4 µs with the Python loop (2-CPU Xeon, traced
 ``perfbench`` runs). Custom
-kernels draw from the same urn through ``KernelView.pick``, on channel 3,
-one vertex at a time, in Python.
+kernels get the state itself and draw from the same urn through
+:meth:`GraphState.pick`, on channel 3, one vertex at a time, in Python.
 
 Randomness is organised in four documented channels per replica so that a
 value's position in a stream never depends on internal batching:
@@ -124,20 +125,6 @@ class ReplicaStreams:
 
 
 @dataclass(frozen=True)
-class KernelView:
-    """Read-only view of the frozen state handed to custom kernels."""
-
-    n: int
-    lam: float
-    fitness: Sequence[float]
-    impact: Sequence[int]
-    total_weight: float
-    fbar: float
-    # one token-urn draw from the generator: vertex i with probability F_i Z_i / W
-    pick: Callable[[np.random.Generator], int]
-
-
-@dataclass(frozen=True)
 class PoissonOutdegree:
     label: str = "poisson"
 
@@ -155,17 +142,22 @@ class FixedOutdegree:
 
 @dataclass(frozen=True)
 class CustomKernel:
-    """User attachment law: draw(view, rng) -> {vertex index: edge count}."""
+    """User attachment law: draw(state, rng) -> {vertex index: edge count}.
 
-    draw: Callable[[KernelView, np.random.Generator], Mapping[int, int]]
+    ``draw`` reads the frozen :class:`GraphState` (``n``, ``fitness``,
+    ``impact``, and :meth:`GraphState.pick` for a token-urn draw) and must
+    not mutate it: growth applies the increments after the draw.
+    """
+
+    draw: Callable[[GraphState, np.random.Generator], Mapping[int, int]]
     label: str = "custom"
 
-    def increments(self, view: KernelView, rng: np.random.Generator) -> dict[int, int]:
-        """One checked draw; a frozen state's view may serve many."""
+    def increments(self, state: GraphState, rng: np.random.Generator) -> dict[int, int]:
+        """One checked draw; a frozen state may serve many."""
         incs: dict[int, int] = {}
-        for index, count in self.draw(view, rng).items():
+        for index, count in self.draw(state, rng).items():
             index = int(index)
-            if not 0 <= index < view.n:
+            if not 0 <= index < state.n:
                 raise MeasureError(f"kernel emitted edge to nonexistent vertex {index}")
             count = int(count)
             if count < 0:
@@ -230,25 +222,14 @@ class GraphState:
             self.total_impact += count
             self.edge_count += count
 
-    def view(self) -> KernelView:
+    def pick(self, rng: np.random.Generator) -> int:
+        """One token-urn draw: vertex i with probability F_i Z_i / W."""
         tokens, fitness = self.tokens, self.fitness
-
-        def pick(rng: np.random.Generator) -> int:
-            size = len(tokens)  # int(u * size) < size for every double u < 1
+        size = len(tokens)  # int(u * size) < size for every double u < 1
+        i = tokens[int(rng.random() * size)]
+        while rng.random() >= fitness[i]:
             i = tokens[int(rng.random() * size)]
-            while rng.random() >= fitness[i]:
-                i = tokens[int(rng.random() * size)]
-            return i
-
-        return KernelView(
-            n=self.n,
-            lam=self.lam,
-            fitness=self.fitness,
-            impact=self.impact,
-            total_weight=self.total_weight,
-            fbar=fbar(self),
-            pick=pick,
-        )
+        return i
 
     @classmethod
     def from_arrays(cls, fitness, impact, lam, model):
@@ -463,10 +444,11 @@ def run(
 def _grow(state: GraphState, marks: np.ndarray) -> None:
     """Append one vertex per fitness mark, in order, each after its edges.
 
-    A custom kernel's vertices are drawn, applied and appended one mark at
-    a time, its targets' tokens in the order it listed them. On a built-in
-    model the marks come first: a draw reads only vertices that own a
-    token, and a vertex gets its token after its own targets are drawn.
+    A custom kernel draws each step from the state itself, and its vertices
+    are drawn, applied and appended one mark at a time, its targets' tokens
+    in the order it listed them. On a built-in model the marks come first:
+    a draw reads only vertices that own a token, and a vertex gets its
+    token after its own targets are drawn.
     :func:`_draw_steps` then draws and appends tokens, each step's targets
     and then the new vertex's own token, for the outdegrees of up to
     ``_BLOCK`` steps at a time (channel 2 draws them in the same order
@@ -478,7 +460,7 @@ def _grow(state: GraphState, marks: np.ndarray) -> None:
     """
     if isinstance(state.model, CustomKernel):
         for f in marks.tolist():
-            state.apply_increments(state.model.increments(state.view(), state.streams.kernel))
+            state.apply_increments(state.model.increments(state, state.streams.kernel))
             state._add_vertex(f)
         return
     start_n = state.n
@@ -501,28 +483,29 @@ def _grow(state: GraphState, marks: np.ndarray) -> None:
 def frozen_targets(state: GraphState, counts: np.ndarray, stream: _Stream) -> np.ndarray:
     """The targets of ``len(counts)`` transitions of the frozen ``state``, in
     order, transition t drawing ``counts[t]``: one step of the growth loop
-    on a copy of the tokens, so each draw sees the urn as it is and reads
-    the uniforms of ``stream`` that one transition at a time would read.
-    The state's impacts and total weight are left alone."""
-    tokens = state.tokens[:]
+    on copies of the tokens, the impacts and the fitnesses (plus a slot for
+    the step's own vertex, which is never a target), so each draw sees the
+    urn as it is and reads the uniforms of ``stream`` that one transition
+    at a time would read. The state itself is left alone."""
+    tokens, fitness = state.tokens[:], state.fitness + array("d", [0.0])
     step = np.array([counts.sum()])
-    _draw_steps(tokens, state.fitness, None, ctypes.c_double(), step, state.n, stream)
+    _draw_steps(tokens, fitness, state.impact[:], ctypes.c_double(), step, state.n, stream)
     return np.frombuffer(tokens, dtype=np.intc)[len(state.tokens) : -1]
 
 
 def _draw_steps(
     tokens: array,
     fitness: array,
-    impact: array | None,
+    impact: array,
     weight: ctypes.c_double,
     counts,
     start: int,
     stream: _Stream,
 ) -> None:
     """Steps ``start``, ``start + 1``, ...: step s appends its ``counts[s]``
-    targets to ``tokens``, then the token of its own vertex. Unless
-    ``impact`` is None, each appended token adds one to its owner's impact
-    (the new vertex's starts at 1) and its fitness to ``weight``.
+    targets to ``tokens``, then the token of its own vertex. Each appended
+    token adds one to its owner's impact (the new vertex's starts at 1) and
+    its fitness to ``weight``.
 
     The loop runs in ``_urn.c`` or, where no C compiler works, in its twin
     :func:`_urn_grow`. This is the only reader of channel 1: the loop reads
@@ -534,8 +517,7 @@ def _draw_steps(
     steps = len(counts)
     pos = (ctypes.c_long * 3)(0, 0, len(tokens))  # step, edge, token count
     tokens.frombytes(bytes(tokens.itemsize * (int(counts.sum()) + steps)))
-    if impact is not None:
-        impact.frombytes(bytes(impact.itemsize * steps))  # the loop sets each to 1
+    impact.frombytes(bytes(impact.itemsize * steps))  # the loop sets each to 1
     loop = _compiled_urn() or _urn_grow
     while pos[0] < steps:
         if len(stream.block) - stream.pos < 2:
@@ -547,7 +529,7 @@ def _draw_steps(
 def _urn_grow(
     tokens: array,
     fitness: array,
-    impact: array | None,
+    impact: array,
     weight: ctypes.c_double,
     counts,
     first: int,
@@ -573,16 +555,14 @@ def _urn_grow(
                     break
             tokens[ntok] = i
             ntok += 1
-            if impact is not None:
-                impact[i] += 1
-                w += fitness[i]
+            impact[i] += 1
+            w += fitness[i]
             edge += 1
         v = first + step
         tokens[ntok] = v
         ntok += 1
-        if impact is not None:
-            impact[v] = 1
-            w += fitness[v]
+        impact[v] = 1
+        w += fitness[v]
         step, edge = step + 1, 0
     pos[:] = step, edge, ntok
     weight.value = w
@@ -651,10 +631,9 @@ def _build_urn():
     ]
 
     def loop(tokens, fitness, impact, weight, counts, first, u, pos):  # as _urn_grow's
-        address = tokens.buffer_info()[0], fitness.buffer_info()[0]
-        counted = impact.buffer_info()[0] if impact is not None else None
+        address = (a.buffer_info()[0] for a in (tokens, fitness, impact))
         return urn(
-            *address, counted, weight, counts.ctypes.data, len(counts), first,
+            *address, weight, counts.ctypes.data, len(counts), first,
             u.ctypes.data, len(u), pos,
         )
 

@@ -385,12 +385,11 @@ def test_09_sampler_oracle_equivalence():
             fitness, impacts, 1.0, simulator.PoissonOutdegree()
         )
         scans = [linear_scan(impacts, u) for u in grid]
-        view = state.view()
         for j, u in enumerate(grid):
             retry = (j + 12) % len(grid)
             for v in (0.0, 0.5, 0.999):
                 uniforms = iter((u, v, grid[retry], 0.0)).__next__
-                drawn = [view.pick(SimpleNamespace(random=uniforms))]
+                drawn = [state.pick(SimpleNamespace(random=uniforms))]
                 expected = scans[j] if v < fitness[scans[j]] else scans[retry]
                 mismatches += drawn != [expected]
     _report("9 sampler equivalence", mismatches == 0,

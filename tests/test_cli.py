@@ -103,6 +103,36 @@ class TestConfig:
                 tmp_path, fitness={"type": "discrete", "points": [[0.25, 0.5], [0.5, 0.5]]}
             )
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("n_target", 2000.5),
+            ("n_target", "2000"),
+            ("replicas", 2.7),
+            ("replicas", True),
+            ("bins", "20"),
+            ("checkpoints", [1.5, 10]),
+            ("checkpoints", "10"),
+            ("lambda", "2.0"),
+            ("lambda", True),
+            ("epsilon", "0.1"),
+            ("edge_log", "false"),
+            ("edge_log", 1),
+        ],
+    )
+    def test_ill_typed_value_rejected(self, tmp_path, key, value):
+        data = {**small_config(tmp_path).to_dict(), key: value}
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.from_dict(data)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["theory", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+
+    def test_integral_floats_are_integers(self, tmp_path):
+        config = small_config(tmp_path, n_target=2e3, replicas=2.0, checkpoints=[1e1, 2e3])
+        assert (config.n_target, config.replicas, config.checkpoints) == (2000, 2, (10, 2000))
+        assert all(type(v) is int for v in (config.n_target, config.replicas, *config.checkpoints))
+
     def test_bad_checkpoints_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             small_config(tmp_path, checkpoints=[10, 5])

@@ -235,6 +235,15 @@ class TestCondensation:
         assert [c["name"] for c in report["criteria"]] == BE_CRITERIA
         assert report["passed"]
 
+    @pytest.mark.parametrize("fbar_means", [[0.80], [0.80, 0.81]])
+    def test_trend_needs_all_its_checkpoints(self, on_limit, fbar_means):
+        # one or two rising points are no trend over three checkpoints
+        config, theory, tables = on_limit(fbar_means, fitness=CUBIC_GAP, **{"lambda": 1.0})
+        report, _ = E.evaluate(theory, tables, config, replicas=2)
+        trend = criteria_by_name(report)["normalisation_trend_increasing"]
+        assert trend["measured"] == fbar_means
+        assert not trend["passed"] and not report["passed"]
+
     def test_predicted_window_be(self, on_limit):
         config, theory, tables = on_limit(BE_FBAR, fitness=CUBIC_GAP, **{"lambda": 1.0})
         report, _ = E.evaluate(theory, tables, config, replicas=2)

@@ -43,8 +43,8 @@ def linear_scan_pick(weights, u):
 
 
 def urn_draw(state, uniforms):
-    """One draw of the state's urn through its view, fed a fixed uniform sequence."""
-    return state.view().pick(SimpleNamespace(random=iter(uniforms).__next__))
+    """One draw of the state's urn, fed a fixed uniform sequence."""
+    return state.pick(SimpleNamespace(random=iter(uniforms).__next__))
 
 
 def step(state):
@@ -68,9 +68,9 @@ def law_and_model(density, kind, lam):
 
 
 def pick_kernel(lam):
-    """lam token-urn picks a step through the public view: the fixed-outdegree law."""
+    """lam token-urn picks a step through ``GraphState.pick``: the fixed-outdegree law."""
     return S.CustomKernel(
-        lambda view, rng: Counter(view.pick(rng) for _ in range(int(lam))), label="picks"
+        lambda state, rng: Counter(state.pick(rng) for _ in range(int(lam))), label="picks"
     )
 
 
@@ -150,7 +150,7 @@ class TestStep:
         assert state.total_impact == 6
 
     def test_custom_kernel_negative_increment_rejected(self, uniform):
-        kernel = S.CustomKernel(lambda view, rng: {0: -1})
+        kernel = S.CustomKernel(lambda state, rng: {0: -1})
         state = S.new_graph(uniform, 1.0, kernel, seed=1)
         with pytest.raises(M.MeasureError):
             step(state)
@@ -374,10 +374,10 @@ class TestTokenUrn:
         for model in (S.PoissonOutdegree(), S.FixedOutdegree(), pick_kernel(1.0)):
             state = S.new_graph(uniform, 1.0, model, seed=53)
             assert list(state.tokens) == [0]
-            assert state.view().pick(np.random.default_rng(53)) == 0
+            assert state.pick(np.random.default_rng(53)) == 0
             S.run(state, 200, bins=5, k_max=3)
             assert Counter(state.tokens) == dict(enumerate(state.impact))
-            picks = [state.view().pick(np.random.default_rng(seed)) for seed in range(50)]
+            picks = [state.pick(np.random.default_rng(seed)) for seed in range(50)]
             assert all(0 <= i < state.n for i in picks)
 
 
@@ -460,9 +460,9 @@ class TestRun:
         assert seen == [1, 2, 4, 8, 16, 32, 64]
 
     def test_custom_kernel_runs(self, uniform):
-        # kernel that mimics the fixed-outdegree law through the public view
-        def draw(view, rng):
-            return {view.pick(rng): 1}
+        # kernel that mimics the fixed-outdegree law through the urn's pick
+        def draw(state, rng):
+            return {state.pick(rng): 1}
 
         state = S.new_graph(uniform, 1.0, S.CustomKernel(draw), seed=41)
         snaps = S.run(state, 500, bins=5, k_max=3)
