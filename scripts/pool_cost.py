@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
 """Where the time of a pooled `pafit simulate` goes, besides the replicas.
 
-`cmd_simulate` maps its replicas over a `multiprocessing.Pool` and pickles
-each replica's snapshots back to the parent. This script times those parts
-separately, each over --repeats runs (median, min-max):
+With W workers, `cmd_simulate` runs the first ceil(replicas / W) replicas
+in the calling process and the rest on a `multiprocessing.Pool(W - 1)`;
+each replica writes its own files, and the pool's workers pickle their
+replicas' snapshots back. This script times those parts separately, each
+over --repeats runs (median, min-max):
 
   pool     start-up and tear-down of an idle Pool(workers)
   pickle   size and dumps+loads time of one replica's result
   alone    one replica in a pool of one: the pool's wall time and the
            replica's own wall and process CPU time inside its worker
-  pooled   `workers` replicas at once in a pool of `workers`
+  pooled   `workers` replicas as `cmd_simulate` runs them: the caller's
+           share here and the rest in a Pool(workers - 1)
   spin     a pure-Python loop alone, then `workers` copies at once, which
            shows what two busy processes cost each other on this machine
 
@@ -26,7 +29,9 @@ import pickle
 import resource
 import statistics
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 from pafit import cli
 
@@ -66,6 +71,21 @@ def _pooled(jobs, fn, workers: int):
     return time.perf_counter() - start, results
 
 
+def _shared(jobs, fn, workers: int):
+    """Run ``jobs`` the way ``cmd_simulate`` does: the first
+    ``ceil(len(jobs) / workers)`` here, the rest in a Pool(workers - 1)."""
+    start = time.perf_counter()
+    share = -(-len(jobs) // workers)
+    if share == len(jobs):
+        results = [fn(job) for job in jobs]
+    else:
+        with multiprocessing.Pool(workers - 1) as pool:
+            rest = pool.map_async(fn, jobs[share:])
+            results = [fn(job) for job in jobs[:share]]
+            results += rest.get()
+    return time.perf_counter() - start, results
+
+
 def describe(samples: list[float], unit: str = "s") -> str:
     return f"{statistics.median(samples):.4f} {unit} ({min(samples):.4f}-{max(samples):.4f})"
 
@@ -94,7 +114,8 @@ def main() -> int:
         "epsilon": 0.1,
         "out_dir": ".",
     }
-    jobs = [(config, r) for r in range(args.workers)]
+    out = tempfile.TemporaryDirectory(prefix="pool_cost-")  # the replicas' files
+    jobs = [(config, r, Path(out.name)) for r in range(args.workers)]
     print(f"{args.fitness}, lambda {lam}, {args.workers} x {args.n} vertices, {args.repeats} repeats")
 
     idle = [_pooled(range(args.workers), _idle, args.workers)[0] for _ in range(args.repeats)]
@@ -114,13 +135,13 @@ def main() -> int:
         alone_wall.append(wall)
         alone_self.append(results[0][0])
         alone_cpu.append(results[0][1])
-        wall, results = _pooled(jobs, _timed_replica, args.workers)
+        wall, results = _shared(jobs, _timed_replica, args.workers)
         pooled_wall.append(wall)
         pooled_self.extend(seconds for seconds, _, _ in results)
         pooled_cpu.extend(cpu for _, cpu, _ in results)
     print(f"  alone   pool wall     {describe(alone_wall)}, replica {describe(alone_self)},"
           f" CPU {describe(alone_cpu)}")
-    print(f"  pooled  pool wall     {describe(pooled_wall)}, each replica {describe(pooled_self)},"
+    print(f"  pooled  wall          {describe(pooled_wall)}, each replica {describe(pooled_self)},"
           f" CPU {describe(pooled_cpu)}")
 
     spin_alone = [_spin(args.spin) for _ in range(args.repeats)]
@@ -130,6 +151,7 @@ def main() -> int:
     slowdown = statistics.median(spin_pooled) / statistics.median(spin_alone) - 1.0
     print(f"  spin    alone {describe(spin_alone)}, {args.workers} at once {describe(spin_pooled)}"
           f" ({100 * slowdown:+.0f}%)")
+    out.cleanup()
     return 0
 
 

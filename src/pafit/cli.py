@@ -7,6 +7,12 @@ keys, and CSV numbers use full round-trip decimal formatting. Nothing is
 written outside the resolved output directory. The output directory comes
 from, in increasing precedence: the config's ``out_dir``, the ``PAFIT_OUT``
 environment variable, the ``--out`` flag.
+
+``simulate --threads T`` runs on T processes counting the calling one, which
+grows the first ``ceil(replicas / T)`` replicas itself; each replica writes
+its own files. ``sim/`` is written whole or not at all: it is staged beside
+the old one and swapped in when complete, so a rerun leaves no stale file
+and a failing run leaves the old ``sim/`` as it was.
 """
 
 from __future__ import annotations
@@ -16,7 +22,9 @@ import csv
 import json
 import multiprocessing
 import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -128,10 +136,10 @@ def cmd_theory(config: ExperimentConfig, *, out_dir: Path) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _replica_worker(
-    payload: tuple[dict, int],
-) -> tuple[list[EmpiricalSnapshot], np.ndarray | None]:
-    config_dict, replica = payload
+def _replica_worker(payload: tuple[dict, int, Path]) -> list[EmpiricalSnapshot]:
+    """Grow one replica, write its ``replica_XXX/`` files under ``out`` and
+    return its snapshots; the edge log never leaves the process."""
+    config_dict, replica, out = payload
     config = ExperimentConfig.from_dict(config_dict)
     try:
         state = simulator.new_graph(
@@ -150,7 +158,9 @@ def _replica_worker(
         )
     except (simulator.AuditError, MeasureError) as exc:
         raise type(exc)(f"replica {replica}: {exc}") from exc
-    return snapshots, simulator.edge_log(state) if config.edge_log else None
+    edge_log = simulator.edge_log(state) if config.edge_log else None
+    _write_replica_files(out, replica, snapshots, edge_log)
+    return snapshots
 
 
 def _write_replica_files(out: Path, replica: int, snapshots, edge_log) -> None:
@@ -178,32 +188,81 @@ def _write_replica_files(out: Path, replica: int, snapshots, edge_log) -> None:
         write_csv(rep_dir / "edges.csv", ["source", "target", "multiplicity"], edge_log)
 
 
+def _simulate_into(
+    config: ExperimentConfig, out: Path, workers: int
+) -> dict[int, ReplicaAggregate]:
+    """Run the replicas and write the whole simulation tree into ``out``.
+
+    The calling process runs the first ``ceil(replicas / workers)`` replicas
+    itself and a pool of ``workers - 1`` processes the rest. The pool is
+    forked before this process grows anything, so each fork copies a small
+    process; its workers exit while this process writes the aggregates.
+    """
+    out.mkdir()
+    jobs = [(config.to_dict(), r, out) for r in range(config.replicas)]
+    if workers == 1:
+        return _write_aggregates(config, out, [_replica_worker(job) for job in jobs])
+    share = -(-len(jobs) // workers)
+    with multiprocessing.Pool(workers - 1) as pool:
+        rest = pool.map_async(_replica_worker, jobs[share:])
+        try:
+            runs = [_replica_worker(job) for job in jobs[:share]]
+        except Exception:
+            # tearing the pool down while a worker sends its result leaves
+            # the result queue locked and the teardown hangs, so wait for the
+            # pool's replicas first, as ``Pool.map`` would
+            rest.wait()
+            raise
+        runs += rest.get()  # map_async keeps job order
+        pool.close()
+        return _write_aggregates(config, out, runs)
+
+
 def cmd_simulate(
     config: ExperimentConfig,
     *,
     out_dir: Path,
     threads: int | None = None,
 ) -> dict[int, ReplicaAggregate]:
-    """Run the replicas (process pool), write per-replica and aggregate files.
+    """Run the replicas on ``threads`` processes, this one included; write
+    per-replica and aggregate files.
+
+    ``sim/`` is replaced whole: everything is written into a staging
+    directory under ``out_dir`` that is renamed onto ``sim/`` only once
+    complete, so a failing run leaves an earlier ``sim/`` as it was (and
+    writes nothing at all when ``out_dir`` did not exist), and a rerun
+    leaves no file of an earlier run behind.
 
     Returns the cross-replica aggregate per checkpoint size. Any invariant
     audit failure propagates, naming its replica (the CLI exits nonzero).
     """
     if threads is not None and threads < 1:
         raise ConfigError(f"threads must be at least 1, got {threads}")
-    out = out_dir / "sim"
-    jobs = [(config.to_dict(), r) for r in range(config.replicas)]
     workers = min(threads or os.cpu_count() or 1, config.replicas)
-    if workers > 1:  # map returns the results in job order, as the list does
-        with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_replica_worker, jobs)
-    else:
-        results = [_replica_worker(job) for job in jobs]
-    runs = [snapshots for snapshots, _ in results]
+    # the topmost directory this call creates, removed again if it fails
+    created = next((p for p in reversed((out_dir, *out_dir.parents)) if not p.exists()), None)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    # the tree is staged in a plain subdirectory of the mkdtemp, so ``sim/``
+    # gets the mode any new directory gets, not mkdtemp's 0o700
+    scratch = Path(tempfile.mkdtemp(prefix=".sim-", dir=out_dir))
+    try:
+        aggregates = _simulate_into(config, scratch / "sim", workers)
+        sim = out_dir / "sim"
+        if sim.exists():
+            sim.rename(scratch / "old")
+        (scratch / "sim").rename(sim)
+    except BaseException:  # the pool has been torn down: nothing writes here any more
+        if created is not None:
+            shutil.rmtree(created, ignore_errors=True)
+        raise
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+    return aggregates
 
-    for replica, (snapshots, edge_log) in enumerate(results):
-        _write_replica_files(out, replica, snapshots, edge_log)
 
+def _write_aggregates(
+    config: ExperimentConfig, out: Path, runs: list
+) -> dict[int, ReplicaAggregate]:
     # every replica snapshots at the config's checkpoints; aggregate checks it
     aggregates = {snaps[0].n: empirics.aggregate(snaps) for snaps in zip(*runs)}
 

@@ -40,7 +40,13 @@ def build_distribution(spec: dict) -> measures.FitnessDistribution:
     try:
         if kind == "discrete":
             points = spec.pop("points")
-            dist = measures.FiniteDiscrete([(float(v), float(m)) for v, m in points])
+            try:
+                pairs = [(float(v), float(m)) for v, m in points]
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(
+                    f"fitness points must be [value, mass] pairs, got {points!r}"
+                ) from exc
+            dist = measures.FiniteDiscrete(pairs)
         elif kind == "density":
             dist = measures.PiecewiseDensity(
                 spec.pop("edges"), spec.pop("coeffs"), spec.pop("atom_at_one", 0.0)
@@ -53,6 +59,8 @@ def build_distribution(spec: dict) -> measures.FitnessDistribution:
             dist = measures.Uniform01()
         else:
             raise ConfigError(f"unknown fitness distribution type {kind!r}")
+    except KeyError as exc:
+        raise ConfigError(f"{kind} fitness needs the key {exc}") from None
     except measures.MeasureError as exc:
         raise ConfigError(f"invalid fitness distribution: {exc}") from exc
     if spec:
@@ -173,6 +181,9 @@ class ExperimentConfig:
         missing = {"model", "lambda", "fitness", "n_target", "out_dir"} - set(data)
         if missing:
             raise ConfigError(f"missing config keys {sorted(missing)}")
+        for key in ("model", "fitness"):
+            if not isinstance(data[key], dict):
+                raise ConfigError(f"{key} must be an object, got {data[key]!r}")
         checkpoints = data.get("checkpoints")
         if not isinstance(checkpoints, (list, tuple, type(None))):
             raise ConfigError(f"checkpoints must be a list, got {checkpoints!r}")

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -186,6 +187,19 @@ class TestSimulate:
         assert (tmp_path / "a/sim/replica_000/trajectory.csv").exists()
         assert (tmp_path / "a/sim/replica_001/hist_00001500.csv").exists()
         assert (tmp_path / "a/sim/aggregate_pk.csv").exists()
+        # sim/ is staged under a mkdtemp (mode 0o700) but made by a plain mkdir
+        assert (tmp_path / "a/sim").stat().st_mode == (tmp_path / "a").stat().st_mode
+
+    def test_uneven_split_writes_one_tree(self, tmp_path):
+        # 3 replicas: the caller runs 3, 2 (pool of 1) or 1 (pool of 2) of them
+        config = small_config(tmp_path, n_target=600, replicas=3)
+        for threads in (1, 2, 3, 8):
+            cli.cmd_simulate(config, out_dir=tmp_path / str(threads), threads=threads)
+        trees = [tree_bytes(tmp_path / str(threads)) for threads in (1, 2, 3, 8)]
+        assert {name.split("/")[1] for name in trees[0] if "/replica_" in name} == {
+            "replica_000", "replica_001", "replica_002"
+        }
+        assert all(tree == trees[0] for tree in trees[1:])
 
     def test_replicas_distinct(self, tmp_path):
         config = small_config(tmp_path, n_target=800)
@@ -214,6 +228,7 @@ class TestSimulate:
         # its threads spinning on the CPU the pool's other worker needs
         probe = f"""
 import resource, time
+from pathlib import Path
 from pafit import cli, simulator
 config = {small_config(tmp_path, model={"type": "poisson"}, n_target=200_000).to_dict()!r}
 simulator._compiled_urn()
@@ -221,7 +236,7 @@ def cpu():
     usage = resource.getrusage(resource.RUSAGE_SELF)
     return usage.ru_utime + usage.ru_stime
 cpu_0, wall_0 = cpu(), time.perf_counter()
-cli._replica_worker((config, 0))
+cli._replica_worker((config, 0, Path({str(tmp_path / 'out')!r})))
 print(time.perf_counter() - wall_0, cpu() - cpu_0)
 """
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
@@ -434,15 +449,21 @@ class TestMain:
         assert cli.main(argv) == 2
         assert not out.exists()  # rejected before anything is written
 
-    @pytest.mark.parametrize("threads", [1, 2])
+    # with 3 replicas on 2 processes, replica 1 fails in the caller's own
+    # share while the pool still holds replica 2
+    @pytest.mark.parametrize(
+        "threads, replicas", [(1, 2), (2, 2), (2, 3)], ids=["1", "2", "2-of-3"]
+    )
     @pytest.mark.parametrize("error", [simulator.AuditError, MeasureError])
-    def test_failing_replica_is_named(self, tmp_path, monkeypatch, capsys, error, threads):
+    def test_failing_replica_is_named(
+        self, tmp_path, monkeypatch, capsys, error, threads, replicas
+    ):
         def audit(state):
             if state.streams.replica == 1:
                 raise error("boom")
 
         monkeypatch.setattr(simulator, "_audit", audit)
-        config = small_config(tmp_path, n_target=300)
+        config = small_config(tmp_path, n_target=300, replicas=replicas)
         with pytest.raises(error, match=r"^replica 1: boom$"):
             cli.cmd_simulate(config, out_dir=tmp_path / "lib_out", threads=threads)
         path = tmp_path / "config.json"
@@ -451,6 +472,44 @@ class TestMain:
         argv = ["simulate", "--config", str(path), "--out", str(out), "--threads", str(threads)]
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == "error: replica 1: boom\n"
+        assert not out.exists()
+
+    def test_failure_in_callers_share_waits_for_the_pool(self, tmp_path, monkeypatch):
+        # a pool torn down while a worker sends its result can hang, so the
+        # caller lets the pool's replicas finish before it raises
+        done = tmp_path / "replica_2_done"
+
+        def audit(state):
+            if state.streams.replica == 1:
+                raise simulator.AuditError("boom")
+            if state.streams.replica == 2 and state.n == 300:
+                time.sleep(0.2)
+                done.touch()
+
+        monkeypatch.setattr(simulator, "_audit", audit)
+        config = small_config(tmp_path, n_target=300, replicas=3)
+        with pytest.raises(simulator.AuditError, match=r"^replica 1: boom$"):
+            cli.cmd_simulate(config, out_dir=tmp_path / "out", threads=2)
+        assert done.exists()
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [
+            ("model", "poisson", "model"),
+            ("model", ["poisson"], "model"),
+            ("fitness", {"type": "discrete", "points": [0.5, 1.0]}, "points"),
+            ("fitness", {"type": "discrete"}, "points"),
+        ],
+    )
+    def test_malformed_model_or_fitness_exits_2(self, tmp_path, capsys, key, value, named):
+        data = {**small_config(tmp_path).to_dict(), key: value}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "cli_out"
+        assert cli.main(["theory", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
         assert not out.exists()
 
     @pytest.mark.parametrize("trials", [0, 1])

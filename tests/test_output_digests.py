@@ -136,6 +136,36 @@ def test_edge_log_is_read_the_same_across_chunks(name, tmp_path, monkeypatch):
     assert tree_digest(tmp_path / "sim") == PINNED[name]
 
 
+def test_rerun_leaves_no_stale_files(tmp_path):
+    name = "poisson_two_point"
+    config = config_for(name, tmp_path)
+    three = ExperimentConfig.from_dict({**config.to_dict(), "replicas": 3})
+    cli.cmd_simulate(three, out_dir=tmp_path, threads=1)
+    cli.cmd_simulate(config, out_dir=tmp_path, threads=1)
+    assert sorted(p.name for p in (tmp_path / "sim").glob("replica_*")) == [
+        "replica_000",
+        "replica_001",
+    ]
+    assert tree_digest(tmp_path / "sim") == PINNED[name]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failing_rerun_keeps_the_earlier_tree(workers, tmp_path, monkeypatch):
+    name = "poisson_two_point"
+    config = config_for(name, tmp_path)
+    cli.cmd_simulate(config, out_dir=tmp_path, threads=workers)
+
+    def audit(state):
+        if state.streams.replica == 1:
+            raise simulator.AuditError("boom")
+
+    monkeypatch.setattr(simulator, "_audit", audit)
+    with pytest.raises(simulator.AuditError, match=r"^replica 1: boom$"):
+        cli.cmd_simulate(config, out_dir=tmp_path, threads=workers)
+    assert [p.name for p in tmp_path.iterdir()] == ["sim"]  # no .sim-* staging left
+    assert tree_digest(tmp_path / "sim") == PINNED[name]
+
+
 @pytest.fixture
 def no_compiler(monkeypatch):
     """Growth and resampling in a process where ``_urn.c`` cannot be built."""
