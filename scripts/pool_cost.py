@@ -15,6 +15,10 @@ over --repeats runs (median, min-max):
            share here and the rest in a Pool(workers - 1)
   spin     a pure-Python loop alone, then `workers` copies at once, which
            shows what two busy processes cost each other on this machine
+  marks    one replica's fitness draws, the `measures.quantile` call of
+           `simulator.run`, through the compiled replay of `_urn.c` and
+           through its numpy twin: wall time and minor page faults
+           (the same code on a discrete law, which needs no replay)
 
 A replica's process CPU time counts every thread of its worker, so a CPU
 time above its wall time shows a native thread pool (such as a BLAS
@@ -24,6 +28,7 @@ library's) busy beside the replica.
 """
 
 import argparse
+import contextlib
 import multiprocessing
 import pickle
 import resource
@@ -32,8 +37,10 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
-from pafit import cli
+from pafit import cli, measures, simulator
+from pafit.config import ExperimentConfig
 
 FITNESS = {
     "two_point": ({"type": "discrete", "points": [[0.5, 0.5], [1.0, 0.5]]}, 2.0),
@@ -84,6 +91,21 @@ def _shared(jobs, fn, workers: int):
             results = [fn(job) for job in jobs[:share]]
             results += rest.get()
     return time.perf_counter() - start, results
+
+
+def _marks(config: dict, compiled: bool):
+    """Wall time and minor page faults of replica 0's ``quantile`` call."""
+    config = ExperimentConfig.from_dict(config)
+    dist = config.distribution()
+    u = simulator.ReplicaStreams(config.base_seed).fitness.random(config.n_target - 1)
+    twin = contextlib.nullcontext() if compiled else mock.patch.object(
+        simulator, "_compiled_urn", lambda: None
+    )
+    with twin:
+        faults, start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.perf_counter()
+        measures.quantile(dist, u)
+        seconds = time.perf_counter() - start
+    return seconds, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 
 
 def describe(samples: list[float], unit: str = "s") -> str:
@@ -151,6 +173,16 @@ def main() -> int:
     slowdown = statistics.median(spin_pooled) / statistics.median(spin_alone) - 1.0
     print(f"  spin    alone {describe(spin_alone)}, {args.workers} at once {describe(spin_pooled)}"
           f" ({100 * slowdown:+.0f}%)")
+
+    simulator._compiled_urn()  # built before timing
+    marks = {True: [], False: []}
+    for _ in range(args.repeats):
+        for compiled in (True, False):
+            marks[compiled].append(_marks(config, compiled))
+    for compiled, name in ((True, "compiled"), (False, "numpy twin")):
+        seconds, faults = zip(*marks[compiled])
+        print(f"  marks   {name:10s} {describe(list(seconds))},"
+              f" minor faults {statistics.median(faults):.0f} ({min(faults)}-{max(faults)})")
     out.cleanup()
     return 0
 

@@ -349,17 +349,21 @@ def quantile(dist: FitnessDistribution, u):
     elif isinstance(dist, Uniform01):
         out = 1.0 - u
     else:
-        atom = dist.atom_at_one
-        body = 1.0 - atom
-        out = np.ones_like(u)
-        inside = u < body
-        if np.any(inside):
+        body = 1.0 - dist.atom_at_one
+
+        def body_quantile(v):
             if isinstance(dist, BetaShape):
-                body_q = special.betaincinv(dist.alpha, dist.beta, u[inside] / body)
-            else:
-                body_q = _piecewise_quantile(dist, u[inside])
-            out[inside] = body_q
-    out = np.maximum(out, np.nextafter(0.0, 1.0))
+                return special.betaincinv(dist.alpha, dist.beta, v / body)
+            return _piecewise_quantile(dist, v)
+
+        if dist.atom_at_one:
+            out = np.ones_like(u)
+            inside = u < body
+            if np.any(inside):
+                out[inside] = body_quantile(u[inside])
+        else:  # every u in [0, 1) lies in the body: no mask, no copies
+            out = body_quantile(u)
+    np.maximum(out, np.nextafter(0.0, 1.0), out=out)  # out is this call's own array
     return float(out[0]) if scalar else out
 
 

@@ -25,20 +25,28 @@ rule in ``npoly.polyval``'s order, ``+ cum[j]``, ``- base[j]``.
    ``hi`` leaves a fixed point, ``(lo, hi)`` or ``(mid, mid)``: such a draw
    leaves the active set. No draw takes more than 80 passes.
 
-On the density 3(1-f)^2 a draw costs the 12 table gathers, three CDF and
-one pdf evaluation for the jump, and about 16 passes instead of 80: about
-0.4 µs against 2.3-2.5 µs for the 80 passes (2-CPU Xeon). Preparing a law
-takes about a millisecond; a replica draws all its marks in one call.
-``docs/DECISIONS.md`` section 8 derives the margin and records the checks.
+The per-draw work runs as ``quantile_replay`` of ``_urn.c``, compiled and
+loaded with the growth loop (``simulator._compiled_urn``), with the same
+operations in the same order; where no C compiler works its numpy twin
+(:meth:`BisectionReplay._twin`: ``_solve``, ``_jump``, ``_finish``) runs
+instead. On the density 3(1-f)^2 a draw costs the 12 table gathers, three
+CDF and one pdf evaluation for the jump, and about 16 passes instead of
+80: about 0.2 µs compiled and 0.5-0.6 µs through the twin, against
+2.3-2.5 µs for the 80 passes (2-CPU Xeon). Preparing a law takes about a
+millisecond; a replica draws all its marks in one call.
+``docs/DECISIONS.md`` section 8 derives the margin and records the checks;
+section 20 covers the compiled replay.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from . import simulator
 from .measures import PiecewiseDensity, _poly_segment_integral
 
 PASSES = 80  # bisection passes of the inverse CDF
@@ -47,6 +55,19 @@ JUMP_SPAN = 32.0  # CDF span of the jump bracket, in certificate margins
 BERNSTEIN_DEPTH = 10  # halvings of a piece in the decrease bound
 CHUNK = 32768  # draws per batch: a batch's work arrays stay in cache
 UNIT_ROUNDOFF = 2.0**-53
+
+
+class _Law(ctypes.Structure):
+    """``struct law`` of ``_urn.c``."""
+
+    ARRAYS = ("heap", "bounds", "bounds_cdf", "anti", "dens", "edges", "cum", "base")
+    _fields_ = (
+        [(name, ctypes.c_void_p) for name in ARRAYS]
+        + [(name, ctypes.c_long) for name in
+           ("pieces", "anti_rows", "dens_rows", "levels", "passes", "jumps", "kmax")]
+        + [(name, ctypes.c_double) for name in
+           ("lo", "hi", "total", "margin", "level_scale", "width")]
+    )
 
 
 class BisectionReplay:
@@ -88,9 +109,8 @@ class BisectionReplay:
         self.kmax = exact_levels(self.lo, self.hi)
         self.margin = certificate_margin(dist.edges, antis, cum, bases)
         self.jumps = self.kmax > TABLE_LEVELS and self.margin < 1.0
-        if self.jumps:
-            self.width = self.hi - self.lo  # exact on a dyadic domain
-            self.level_scale = self.width / (JUMP_SPAN * self.margin)
+        self.width = self.hi - self.lo  # exact on a dyadic domain
+        self.level_scale = self.width / (JUMP_SPAN * self.margin)
 
     def _piece(self, x: np.ndarray):
         """Each point's piece index, as the reference picks it; None for one piece."""
@@ -130,6 +150,30 @@ class BisectionReplay:
         return acc
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
+        native = simulator._compiled_urn()
+        if native is None:
+            return self._twin(t)
+        t = np.ascontiguousarray(t, dtype=float)
+        out = np.empty_like(t)
+        native.replay(ctypes.byref(self._law()), t.ctypes.data, out.ctypes.data, t.size)
+        return out
+
+    def _law(self) -> _Law:
+        """The tables and constants that ``quantile_replay`` of ``_urn.c``
+        reads; the arrays stay referenced by ``self``."""
+        self._arrays = [
+            np.ascontiguousarray(getattr(self, name), dtype=float) for name in _Law.ARRAYS
+        ]
+        return _Law(
+            *(a.ctypes.data for a in self._arrays),
+            len(self.cum), len(self.anti), len(self.dens), TABLE_LEVELS, PASSES,
+            int(self.jumps), self.kmax, self.lo, self.hi, self.total, self.margin,
+            self.level_scale, self.width,
+        )
+
+    def _twin(self, t: np.ndarray) -> np.ndarray:
+        """The compiled replay's numpy twin: the same bits where no C
+        compiler works."""
         out = np.empty_like(t)
         for start in range(0, t.size, CHUNK):  # cache-sized batches
             out[start : start + CHUNK] = self._solve(t[start : start + CHUNK])

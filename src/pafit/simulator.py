@@ -31,7 +31,11 @@ per try, one append per target. For the built-in models it runs as the C
 function of ``_urn.c``, compiled on first use and loaded with ``ctypes``;
 it makes the Python loop's double multiply, truncation and compare, so
 its output is the same bits. Where no C compiler works, its line-for-line
-Python twin runs instead. The same loop, run for one step on copies of a
+Python twin runs instead. The same source holds the fitness inverse-CDF
+replay of :mod:`pafit.quantile_replay`, so one compile, one cached library
+and one fallback switch (:func:`_compiled_urn`) serve both; on the density
+a replica's 2e5 fitness draws take about 40-60 ms compiled and 110-140 ms
+through the replay's numpy twin. The same loop, run for one step on copies of a
 frozen state's arrays, resamples its transitions for ``kernel_contract``
 (:func:`frozen_targets`). As it appends a token, the loop
 also adds one to its owner's impact and the owner's fitness to W, so W
@@ -518,7 +522,8 @@ def _draw_steps(
     pos = (ctypes.c_long * 3)(0, 0, len(tokens))  # step, edge, token count
     tokens.frombytes(bytes(tokens.itemsize * (int(counts.sum()) + steps)))
     impact.frombytes(bytes(impact.itemsize * steps))  # the loop sets each to 1
-    loop = _compiled_urn() or _urn_grow
+    native = _compiled_urn()
+    loop = native.grow if native else _urn_grow
     while pos[0] < steps:
         if len(stream.block) - stream.pos < 2:
             stream.fill()
@@ -570,11 +575,21 @@ def _urn_grow(
 
 
 _URN_SOURCE = Path(__file__).with_name("_urn.c")
-_urn_loop = None  # the compiled loop once built, False once it could not be
+_urn_loop = None  # the compiled functions once built, False once they could not be
 
 
-def _compiled_urn():
-    """The loop of ``_urn.c``, compiled on first use; None where no compiler works."""
+@dataclass(frozen=True)
+class _Native:
+    """The functions of ``_urn.c``: ``grow`` is called as :func:`_urn_grow`,
+    ``replay`` as ``quantile_replay(law, t, out, n)`` of the C source."""
+
+    grow: Callable
+    replay: Callable
+
+
+def _compiled_urn() -> _Native | None:
+    """The functions of ``_urn.c``, compiled on first use; None where no
+    compiler works. Growth and the fitness replay share this one switch."""
     global _urn_loop
     if _urn_loop is None:
         try:
@@ -582,17 +597,17 @@ def _compiled_urn():
         except (OSError, subprocess.CalledProcessError) as exc:
             sys.stderr.write(  # one write, so that pool workers' lines stay whole
                 f"pafit: cannot build {_URN_SOURCE.name} ({exc}); "
-                "growing in pure Python, several times slower\n"
+                "growing in pure Python and drawing fitness in numpy, several times slower\n"
             )
             _urn_loop = False
     return _urn_loop or None
 
 
-def _build_urn():
+def _build_urn() -> _Native:
     """Load ``__pycache__/_urn-<sha256 of the source>.so``, compiling and
     publishing it atomically if absent; a private temporary directory
     stands in when ``__pycache__`` is not writable. The flags keep every
-    floating-point operation as written, so the loop's results are bits."""
+    floating-point operation as written, so the functions' results are bits."""
     source = _URN_SOURCE.read_bytes()
     name = f"_urn-{hashlib.sha256(source).hexdigest()}.so"
 
@@ -637,4 +652,7 @@ def _build_urn():
             u.ctypes.data, len(u), pos,
         )
 
-    return loop
+    replay = lib.quantile_replay
+    replay.restype = None
+    replay.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_long]
+    return _Native(loop, replay)

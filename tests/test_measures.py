@@ -14,7 +14,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pafit import measures as M
-from pafit import quantile_replay
+from pafit import quantile_replay, simulator
+
+LANE = 256  # draws per lane of quantile_replay in _urn.c
+DIPPING = M.PiecewiseDensity((0.0, 1.0), ((3.0 - 9e-10, -12.0, 12.0),), atom_at_one=9e-10)
+DEEPEST = [  # laws whose deepest jumps only the certificate keeps exact
+    M.PiecewiseDensity((0.0, 1.0), ((3.0, -6.0, 3.0),)),
+    M.PiecewiseDensity((0.0, 0.3, 0.7, 1.0), ((1.0,), (0.5,), (0.5, 0.5)), atom_at_one=0.2225),
+    # half the mass on a piece 2^-20 wide: its pdf asks for levels beyond
+    # the exact ones
+    M.PiecewiseDensity((0.0, 0.5, 0.5 + 2.0**-20, 1.0),
+                       ((0.5,), (2.0**19,), (0.25 / (0.5 - 2.0**-20),))),
+]
+DEEPEST_IDS = ["cubic_gap", "three_pieces_atom", "spike"]
 
 
 def indicator(lo, hi):
@@ -217,24 +229,10 @@ class TestSampling:
     def test_piecewise_quantile_replays_reference_on_dipping_density(self):
         # 12 (f - 1/2)^2 - 9e-10 dips below zero, as validation allows: the
         # exact CDF falls near 1/2, so the jump's certificate must cover it
-        dip = 9e-10
-        dist = M.PiecewiseDensity((0.0, 1.0), ((3.0 - dip, -12.0, 12.0),), atom_at_one=dip)
-        assert min(M._polyval(dist.coeffs[0], np.linspace(0.0, 1.0, 1001))) < 0.0
-        self._assert_replays_reference(dist, seed=7, draws=20_000)
+        assert min(M._polyval(DIPPING.coeffs[0], np.linspace(0.0, 1.0, 1001))) < 0.0
+        self._assert_replays_reference(DIPPING, seed=7, draws=20_000)
 
-    @pytest.mark.parametrize(
-        "dist",
-        [
-            M.PiecewiseDensity((0.0, 1.0), ((3.0, -6.0, 3.0),)),
-            M.PiecewiseDensity((0.0, 0.3, 0.7, 1.0), ((1.0,), (0.5,), (0.5, 0.5)),
-                               atom_at_one=0.2225),
-            # half the mass on a piece 2^-20 wide: its pdf asks for levels
-            # beyond the exact ones
-            M.PiecewiseDensity((0.0, 0.5, 0.5 + 2.0**-20, 1.0),
-                               ((0.5,), (2.0**19,), (0.25 / (0.5 - 2.0**-20),))),
-        ],
-        ids=["cubic_gap", "three_pieces_atom", "spike"],
-    )
+    @pytest.mark.parametrize("dist", DEEPEST, ids=DEEPEST_IDS)
     def test_certificate_alone_keeps_the_deepest_jumps_exact(self, dist, monkeypatch):
         # a span of 2^-30 margins sends every draw to the deepest exact
         # level, where brackets are a few ulps wide and the computed CDF is
@@ -242,22 +240,36 @@ class TestSampling:
         monkeypatch.setattr(quantile_replay, "JUMP_SPAN", 2.0**-30)
         self._assert_replays_reference(dist, seed=11, draws=20_000)
 
+    @pytest.mark.parametrize("dist", [DIPPING, *DEEPEST], ids=["dipping", *DEEPEST_IDS])
+    def test_numpy_twin_on_dipping_density_and_deepest_jumps(self, dist, monkeypatch):
+        # the two tests above, through the twin where they ran compiled
+        monkeypatch.setattr(simulator, "_compiled_urn", lambda: None)
+        if dist is not DIPPING:
+            monkeypatch.setattr(quantile_replay, "JUMP_SPAN", 2.0**-30)
+        self._assert_replays_reference(dist, seed=7 if dist is DIPPING else 11, draws=20_000)
+
     @staticmethod
     def _assert_replays_reference(dist, seed, draws=2_000):
-        reference_cdf, reference_quantile = frozen_reference(dist)
-        body = 1.0 - dist.atom_at_one
-        edge_masses = reference_cdf(np.asarray(dist.edges, dtype=float))
-        rng = np.random.default_rng(seed)
-        u = np.concatenate([
-            rng.random(draws) * body,
-            edge_masses, np.nextafter(edge_masses, 0.0), np.nextafter(edge_masses, 1.0),
-            [0.0, np.nextafter(body, 0.0)],
-        ])
-        u = u[(u >= 0.0) & (u < body)]
-        assert np.array_equal(M._piecewise_quantile(dist, u), reference_quantile(u))
+        u = body_targets(dist, seed, draws)
+        assert np.array_equal(M._piecewise_quantile(dist, u), frozen_reference(dist)[1](u))
 
 
-DIPPING = M.PiecewiseDensity((0.0, 1.0), ((3.0 - 9e-10, -12.0, 12.0),), atom_at_one=9e-10)
+def body_targets(dist, seed, draws):
+    """Random targets in the body's mass range, plus the masses at the piece
+    edges, their float neighbours, 0 and the top of the range."""
+    body = 1.0 - dist.atom_at_one
+    edge_masses = frozen_reference(dist)[0](np.asarray(dist.edges, dtype=float))
+    rng = np.random.default_rng(seed)
+    u = np.concatenate([
+        rng.random(draws) * body,
+        edge_masses, np.nextafter(edge_masses, 0.0), np.nextafter(edge_masses, 1.0),
+        [0.0, np.nextafter(body, 0.0)],
+    ])
+    return u[(u >= 0.0) & (u < body)]
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 @st.composite
@@ -298,6 +310,47 @@ def critical_uniforms(dist) -> np.ndarray:
     u = np.concatenate([cuts, np.nextafter(cuts, 0.0), np.nextafter(cuts, 1.0),
                         np.linspace(0.5 - 1e-9, 0.5 + 1e-9, 41)])
     return u[(u >= 0.0) & (u < 1.0)]
+
+
+class TestCompiledReplay:
+    """``quantile_replay`` of ``_urn.c`` against its numpy twin and the
+    frozen reference bisection."""
+
+    @pytest.fixture(autouse=True)
+    def compiled(self):
+        if simulator._compiled_urn() is None:
+            pytest.skip("no working C compiler")
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(dist=piecewise_laws(), seed=st.integers(0, 2**32 - 1))
+    def test_compiled_replay_equals_twin_and_reference(self, dist, seed):
+        u = body_targets(dist, seed, draws=3 * LANE + 5)
+        replay = quantile_replay.BisectionReplay(dist)
+        compiled, twin = replay(u), replay._twin(u)
+        assert same_bits(compiled, twin)
+        assert same_bits(twin, frozen_reference(dist)[1](u))
+
+    @pytest.mark.parametrize("size", [0, 1, LANE - 1, LANE, LANE + 1, 3 * LANE + 5])
+    @pytest.mark.parametrize("dist", DEEPEST[:2], ids=DEEPEST_IDS[:2])
+    def test_every_batch_size_replays_the_twin(self, dist, size):
+        # lanes end mid-batch, and a lane's odd last draw fills a vector alone
+        u = np.random.default_rng(size).random(size) * (1.0 - dist.atom_at_one)
+        replay = quantile_replay.BisectionReplay(dist)
+        compiled = replay(u)
+        assert same_bits(compiled, replay._twin(u))
+        assert same_bits(compiled, frozen_reference(dist)[1](u))
+
+    def test_flat_leaves_take_the_secants_midpoint(self):
+        # the density is 0 on [0, 1/2): there the table's leaves have equal
+        # CDFs, and the target 0 makes the secant 0/0
+        dist = M.PiecewiseDensity((0.0, 0.5, 1.0), ((0.0,), (2.0,)))
+        u = body_targets(dist, seed=5, draws=LANE)
+        replay = quantile_replay.BisectionReplay(dist)
+        assert same_bits(replay(u), replay._twin(u))
+        assert same_bits(replay(u), frozen_reference(dist)[1](u))
+
+    def test_lane_matches_the_c_source(self):
+        assert f"#define LANE {LANE}\n" in simulator._URN_SOURCE.read_text()
 
 
 class TestQuantileProperties:

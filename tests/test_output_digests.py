@@ -28,7 +28,7 @@ from pathlib import Path
 
 import pytest
 
-from pafit import cli, simulator
+from pafit import cli, quantile_replay, simulator
 from pafit.config import ExperimentConfig
 
 TWO_POINT = {"type": "discrete", "points": [[0.5, 0.5], [1.0, 0.5]]}
@@ -168,7 +168,8 @@ def test_failing_rerun_keeps_the_earlier_tree(workers, tmp_path, monkeypatch):
 
 @pytest.fixture
 def no_compiler(monkeypatch):
-    """Growth and resampling in a process where ``_urn.c`` cannot be built."""
+    """Growth, resampling and fitness draws in a process where ``_urn.c``
+    cannot be built."""
 
     def fail():
         raise FileNotFoundError("no C compiler")
@@ -189,6 +190,32 @@ def test_pure_python_fallback_writes_the_pinned_poisson_trees(
     assert lines and all("growing in pure Python" in line for line in lines)
     if workers == 1:
         assert len(lines) == 1  # one line per process
+
+
+def test_pure_python_fallback_draws_fitness_through_the_numpy_twin(
+    tmp_path, no_compiler, capfd, monkeypatch
+):
+    # every fitness draw of the pinned density tree goes through the twin:
+    # the compiled replay is never reached
+    solved = []
+    twin = quantile_replay.BisectionReplay._twin
+
+    def counted_twin(self, t):
+        solved.append(t.size)
+        return twin(self, t)
+
+    def compiled_law(self):
+        raise AssertionError("the compiled replay was called")
+
+    monkeypatch.setattr(quantile_replay.BisectionReplay, "_twin", counted_twin)
+    monkeypatch.setattr(quantile_replay.BisectionReplay, "_law", compiled_law)
+    name = "poisson_cubic_gap"
+    config = config_for(name, tmp_path)
+    cli.cmd_simulate(config, out_dir=tmp_path, threads=1)
+    assert tree_digest(tmp_path / "sim") == PINNED[name]
+    assert sum(solved) == config.replicas * config.n_target  # vertex 0 included
+    lines = capfd.readouterr().err.splitlines()
+    assert len(lines) == 1 and "growing in pure Python" in lines[0]
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_THEORY))
