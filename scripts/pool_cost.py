@@ -17,8 +17,9 @@ over --repeats runs (median, min-max):
            shows what two busy processes cost each other on this machine
   marks    one replica's fitness draws, the `measures.quantile` call of
            `simulator.run`, through the compiled replay of `_urn.c` and
-           through its numpy twin: wall time and minor page faults
-           (the same code on a discrete law, which needs no replay)
+           through the fallback bisection that runs without a compiler
+           (80 numpy passes): wall time and minor page faults (the same
+           code on a discrete law, which needs no replay)
 
 A replica's process CPU time counts every thread of its worker, so a CPU
 time above its wall time shows a native thread pool (such as a BLAS
@@ -98,10 +99,10 @@ def _marks(config: dict, compiled: bool):
     config = ExperimentConfig.from_dict(config)
     dist = config.distribution()
     u = simulator.ReplicaStreams(config.base_seed).fitness.random(config.n_target - 1)
-    twin = contextlib.nullcontext() if compiled else mock.patch.object(
+    fallback = contextlib.nullcontext() if compiled else mock.patch.object(
         simulator, "_compiled_urn", lambda: None
     )
-    with twin:
+    with fallback:
         faults, start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.perf_counter()
         measures.quantile(dist, u)
         seconds = time.perf_counter() - start
@@ -179,7 +180,7 @@ def main() -> int:
     for _ in range(args.repeats):
         for compiled in (True, False):
             marks[compiled].append(_marks(config, compiled))
-    for compiled, name in ((True, "compiled"), (False, "numpy twin")):
+    for compiled, name in ((True, "compiled"), (False, "fallback")):
         seconds, faults = zip(*marks[compiled])
         print(f"  marks   {name:10s} {describe(list(seconds))},"
               f" minor faults {statistics.median(faults):.0f} ({min(faults)}-{max(faults)})")

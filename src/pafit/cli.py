@@ -195,14 +195,16 @@ def _simulate_into(
 
     The calling process runs the first ``ceil(replicas / workers)`` replicas
     itself and a pool of ``workers - 1`` processes the rest. The pool is
-    forked before this process grows anything, so each fork copies a small
-    process; its workers exit while this process writes the aggregates.
+    forked after this process loads ``_urn.c``, so only this process
+    compiles it, and before it grows anything, so each fork copies a small
+    process; the workers exit while this process writes the aggregates.
     """
     out.mkdir()
     jobs = [(config.to_dict(), r, out) for r in range(config.replicas)]
     if workers == 1:
         return _write_aggregates(config, out, [_replica_worker(job) for job in jobs])
     share = -(-len(jobs) // workers)
+    simulator._compiled_urn()  # the workers inherit the library, or its absence
     with multiprocessing.Pool(workers - 1) as pool:
         rest = pool.map_async(_replica_worker, jobs[share:])
         try:

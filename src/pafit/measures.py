@@ -369,15 +369,13 @@ def quantile(dist: FitnessDistribution, u):
 
 def _piecewise_quantile(dist: PiecewiseDensity, targets: np.ndarray) -> np.ndarray:
     """Invert the body CDF: the ``hi`` end of 80 bisection passes over
-    ``[edges[0], edges[-1]]`` (``mid = lo + hi; mid *= 0.5``; ``lo = mid``
-    where ``cdf(mid) < target``, else ``hi = mid``), where ``cdf`` is the
-    per-piece antiderivative evaluated by Horner's rule in ``npoly.polyval``'s
-    operation order, plus the cumulative mass, minus the antiderivative at
-    the piece's left edge. :mod:`pafit.quantile_replay` computes exactly
-    these bits in about 16 passes on 3(1-f)^2: it jumps to a deep level only
-    where the nodes are exact and the target clears the computed CDF at
-    both ends of the bracket by a margin that bounds the CDF's rounding
-    error and its non-monotonicity.
+    ``[edges[0], edges[-1]]``, as ``quantile_replay.BisectionReplay.__call__``
+    runs them where no C compiler works, over the CDF of
+    ``BisectionReplay.cdf``. The compiled replay of ``_urn.c`` computes
+    exactly these bits in about 16 passes on 3(1-f)^2: it jumps to a deep
+    level only where the nodes are exact and the target clears the computed
+    CDF at both ends of the bracket by a margin that bounds the CDF's
+    rounding error and its non-monotonicity.
     """
     from .quantile_replay import BisectionReplay  # deferred: quantile_replay imports measures
 

@@ -3,9 +3,13 @@
 ``measures._piecewise_quantile`` is defined as the ``hi`` end of 80
 bisection passes over the law's domain ``[edges[0], edges[-1]]``
 (``mid = lo + hi; mid *= 0.5``; ``lo = mid`` where ``cdf(mid) < target``,
-else ``hi = mid``), with ``cdf`` the per-piece antiderivative by Horner's
-rule in ``npoly.polyval``'s order, ``+ cum[j]``, ``- base[j]``.
-:class:`BisectionReplay` returns the same bits in three steps:
+else ``hi = mid``), with ``cdf`` (:meth:`BisectionReplay.cdf`) the
+per-piece antiderivative by Horner's rule in ``npoly.polyval``'s order,
+``+ cum[j]``, ``- base[j]``. Where no C compiler works,
+:meth:`BisectionReplay.__call__` runs exactly these passes. Elsewhere
+``quantile_replay`` of ``_urn.c``, compiled and loaded with the growth
+loop (``simulator._compiled_urn``), returns the same bits in three steps,
+from the tables and constants prepared here:
 
 1. The first 12 levels of the bisection tree are tabulated once per call
    with the same operations; a draw descends them by integer gathers.
@@ -25,17 +29,13 @@ rule in ``npoly.polyval``'s order, ``+ cum[j]``, ``- base[j]``.
    ``hi`` leaves a fixed point, ``(lo, hi)`` or ``(mid, mid)``: such a draw
    leaves the active set. No draw takes more than 80 passes.
 
-The per-draw work runs as ``quantile_replay`` of ``_urn.c``, compiled and
-loaded with the growth loop (``simulator._compiled_urn``), with the same
-operations in the same order; where no C compiler works its numpy twin
-(:meth:`BisectionReplay._twin`: ``_solve``, ``_jump``, ``_finish``) runs
-instead. On the density 3(1-f)^2 a draw costs the 12 table gathers, three
+On the density 3(1-f)^2 a compiled draw costs the 12 table gathers, three
 CDF and one pdf evaluation for the jump, and about 16 passes instead of
-80: about 0.2 µs compiled and 0.5-0.6 µs through the twin, against
-2.3-2.5 µs for the 80 passes (2-CPU Xeon). Preparing a law takes about a
-millisecond; a replica draws all its marks in one call.
-``docs/DECISIONS.md`` section 8 derives the margin and records the checks;
-section 20 covers the compiled replay.
+80: about 0.2 µs, against 1.2 µs for the 80 numpy passes (2-CPU Xeon).
+Preparing a law takes about a millisecond; a replica draws all its marks
+in one call. ``docs/DECISIONS.md`` section 8 derives the margin and records
+the checks; section 20 covers the compiled replay and section 21 the
+fallback.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ PASSES = 80  # bisection passes of the inverse CDF
 TABLE_LEVELS = 12  # levels of the bisection tree tabulated once per law
 JUMP_SPAN = 32.0  # CDF span of the jump bracket, in certificate margins
 BERNSTEIN_DEPTH = 10  # halvings of a piece in the decrease bound
-CHUNK = 32768  # draws per batch: a batch's work arrays stay in cache
+CHUNK = 32768  # draws per batch of the numpy passes, which bounds their memory
 UNIT_ROUNDOFF = 2.0**-53
 
 
@@ -125,12 +125,12 @@ class BisectionReplay:
     def _gather(table: np.ndarray, idx):
         return table[..., 0] if idx is None else table.take(idx, axis=-1)
 
-    def cdf(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The computed body CDF at ``x`` in the domain, with the reference's
-        operations: the same value to the bit."""
+    def cdf(self, x: np.ndarray) -> np.ndarray:
+        """The computed body CDF at ``x`` in the domain, with
+        ``npoly.polyval``'s operations: the CDF of the definition, to the bit."""
         idx = self._piece(x)
         rows = self._gather(self.anti, idx)
-        acc = np.multiply(x, 0.0, out=out)
+        acc = x * 0.0
         acc += rows[-1]
         for coef in rows[-2::-1]:
             acc *= x
@@ -141,21 +141,23 @@ class BisectionReplay:
         acc[x >= self.hi] = self.total
         return acc
 
-    def pdf(self, x: np.ndarray) -> np.ndarray:
-        rows = self._gather(self.dens, self._piece(x))
-        acc = np.zeros_like(x)
-        for coef in rows[::-1]:
-            acc *= x
-            acc += coef
-        return acc
-
     def __call__(self, t: np.ndarray) -> np.ndarray:
-        native = simulator._compiled_urn()
-        if native is None:
-            return self._twin(t)
         t = np.ascontiguousarray(t, dtype=float)
         out = np.empty_like(t)
-        native.replay(ctypes.byref(self._law()), t.ctypes.data, out.ctypes.data, t.size)
+        native = simulator._compiled_urn()
+        if native is not None:
+            native.replay(ctypes.byref(self._law()), t.ctypes.data, out.ctypes.data, t.size)
+            return out
+        # no compiler: the definition itself, 80 plain passes
+        for start in range(0, t.size, CHUNK):
+            target = t[start : start + CHUNK]
+            lo, hi = np.full_like(target, self.lo), np.full_like(target, self.hi)
+            for _ in range(PASSES):
+                mid = lo + hi
+                mid *= 0.5
+                below = self.cdf(mid) < target
+                lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+            out[start : start + CHUNK] = hi
         return out
 
     def _law(self) -> _Law:
@@ -170,95 +172,6 @@ class BisectionReplay:
             int(self.jumps), self.kmax, self.lo, self.hi, self.total, self.margin,
             self.level_scale, self.width,
         )
-
-    def _twin(self, t: np.ndarray) -> np.ndarray:
-        """The compiled replay's numpy twin: the same bits where no C
-        compiler works."""
-        out = np.empty_like(t)
-        for start in range(0, t.size, CHUNK):  # cache-sized batches
-            out[start : start + CHUNK] = self._solve(t[start : start + CHUNK])
-        return out
-
-    def _solve(self, t: np.ndarray) -> np.ndarray:
-        node = np.zeros(t.shape, dtype=np.intp)
-        below = np.empty(t.shape, dtype=bool)
-        for _ in range(TABLE_LEVELS):
-            np.less(self.heap.take(node), t, out=below)
-            node += node
-            node += 1
-            node += below
-        node -= len(self.heap)  # the leaf's index at level L
-        lo, hi = self.bounds.take(node), self.bounds.take(node + 1)
-        left = np.full(t.shape, PASSES - TABLE_LEVELS)
-        if self.jumps:
-            self._jump(t, node, lo, hi, left)
-        return self._finish(t, lo, hi, left)
-
-    def _jump(self, t, leaf, lo, hi, left) -> None:
-        """Move every draw whose certificate holds to its level-K bracket."""
-        c_lo, c_hi = self.bounds_cdf.take(leaf), self.bounds_cdf.take(leaf + 1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            frac = np.clip((t - c_lo) / (c_hi - c_lo), 0.0, 1.0)
-            x = lo + np.nan_to_num(frac, nan=0.5) * (hi - lo)
-            p = self.pdf(x)
-            x -= (self.cdf(x) - t) / p
-            _, level = np.frexp(p * self.level_scale)
-        level -= 1  # floor(log2(pdf * width / (span * M)))
-        np.minimum(level, self.kmax, out=level)
-        sel = np.flatnonzero((level > TABLE_LEVELS) & (p > 0.0) & np.isfinite(x))
-        level = level.take(sel)
-        step = np.ldexp(self.width, -level)
-        j = np.floor((np.clip(x.take(sel), self.lo, self.hi) - self.lo) / step)
-        np.clip(j, 0.0, np.ldexp(1.0, level) - 1.0, out=j)
-        lo_k = j * step
-        lo_k += self.lo
-        hi_k = lo_k + step
-        ts = t.take(sel)
-        ok = (lo_k == self.lo) | (self.cdf(lo_k) + self.margin < ts)
-        ok &= (hi_k == self.hi) | (ts <= self.cdf(hi_k) - self.margin)
-        sel = sel[ok]
-        lo[sel] = lo_k[ok]
-        hi[sel] = hi_k[ok]
-        left[sel] = PASSES - level[ok]
-
-    def _finish(self, t, lo, hi, left) -> np.ndarray:
-        """Plain passes; a draw leaves at a fixed point or after its 80th pass.
-
-        The passes select without masks, exactly: with lo >= 0 and
-        mid <= edges[-1], ``max(lo, mid * below)`` is ``mid`` where below and
-        ``lo`` elsewhere, and ``min(hi, mid + below * edges[-1])`` is ``hi``
-        where below and ``mid`` elsewhere.
-        """
-        out = np.empty_like(t)
-        pos = np.arange(t.size)
-        buf = np.empty((3, t.size))
-        flags = np.empty((3, t.size), dtype=bool)
-        while pos.size:
-            size = pos.size
-            mid, acc, lift = buf[:, :size]
-            below, fixed, other = flags[:, :size]
-            np.add(lo, hi, out=mid)
-            mid *= 0.5
-            np.less(self.cdf(mid, out=acc), t, out=below)
-            # mid == lo or mid == hi: this pass leaves (lo, hi) or (mid, mid),
-            # and the next pass computes the same mid and the same branch
-            np.equal(mid, lo, out=fixed)
-            np.equal(mid, hi, out=other)
-            fixed |= other
-            np.multiply(mid, below, out=lift)
-            np.maximum(lo, lift, out=lo)
-            np.multiply(below, self.hi, out=lift)
-            lift += mid
-            np.minimum(hi, lift, out=hi)
-            left -= 1
-            np.less_equal(left, 0, out=other)
-            if other.any() or 8 * np.count_nonzero(fixed) >= size:
-                fixed |= other
-                done = np.flatnonzero(fixed)
-                out[pos.take(done)] = hi.take(done)
-                keep = np.flatnonzero(~fixed)
-                pos, lo, hi, t, left = (a.take(keep) for a in (pos, lo, hi, t, left))
-        return out
 
 
 def exact_levels(a: float, b: float) -> int:

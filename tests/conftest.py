@@ -1,3 +1,8 @@
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -26,6 +31,19 @@ def uniform():
 @pytest.fixture
 def beta23():
     return M.BetaShape(2.0, 3.0)
+
+
+@pytest.fixture
+def packaged(tmp_path):
+    """pafit as ``build_py`` installs it under ``tmp_path / "lib"``, with no
+    compiled library beside ``_urn.c``; returns that directory."""
+    root = Path(__file__).resolve().parents[1]
+    shutil.copy(root / "pyproject.toml", tmp_path)
+    shutil.copytree(root / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    setup = [sys.executable, "-c", "from setuptools import setup; setup()"]
+    build = setup + ["-q", "build_py", "--build-lib", str(tmp_path / "lib")]
+    subprocess.run(build, cwd=tmp_path, check=True, capture_output=True)
+    return tmp_path / "lib"
 
 
 @pytest.fixture

@@ -201,6 +201,23 @@ class TestSimulate:
         }
         assert all(tree == trees[0] for tree in trees[1:])
 
+    def test_pool_builds_the_urn_once(self, tmp_path, monkeypatch):
+        # the caller loads _urn.c before it forks the pool: no worker
+        # compiles or loads the library again
+        builds = tmp_path / "builds"
+        build = simulator._build_urn
+
+        def logged_build():
+            with builds.open("a") as log:
+                log.write(f"{os.getpid()}\n")
+            return build()
+
+        monkeypatch.setattr(simulator, "_build_urn", logged_build)
+        monkeypatch.setattr(simulator, "_urn_loop", None)
+        config = small_config(tmp_path, model={"type": "poisson"}, n_target=300)
+        cli.cmd_simulate(config, out_dir=tmp_path / "out", threads=2)
+        assert builds.read_text().splitlines() == [str(os.getpid())]
+
     def test_replicas_distinct(self, tmp_path):
         config = small_config(tmp_path, n_target=800)
         cli.cmd_simulate(config, out_dir=tmp_path / "out", threads=1)

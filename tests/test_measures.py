@@ -6,6 +6,7 @@ integration paths.
 """
 
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -242,10 +243,9 @@ class TestSampling:
 
     @pytest.mark.parametrize("dist", [DIPPING, *DEEPEST], ids=["dipping", *DEEPEST_IDS])
     def test_numpy_twin_on_dipping_density_and_deepest_jumps(self, dist, monkeypatch):
-        # the two tests above, through the twin where they ran compiled
+        # the laws of the two tests above, through the numpy fallback where
+        # they ran compiled: the definition's 80 passes, which never jump
         monkeypatch.setattr(simulator, "_compiled_urn", lambda: None)
-        if dist is not DIPPING:
-            monkeypatch.setattr(quantile_replay, "JUMP_SPAN", 2.0**-30)
         self._assert_replays_reference(dist, seed=7 if dist is DIPPING else 11, draws=20_000)
 
     @staticmethod
@@ -312,9 +312,22 @@ def critical_uniforms(dist) -> np.ndarray:
     return u[(u >= 0.0) & (u < 1.0)]
 
 
+class TestFallbackBisection:
+    """The fitness draw where no C compiler works: the definition's 80
+    numpy passes, against the frozen reference bisection."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(dist=piecewise_laws(), seed=st.integers(0, 2**32 - 1))
+    def test_fallback_equals_reference(self, dist, seed):
+        u = body_targets(dist, seed, draws=3 * LANE + 5)
+        with mock.patch.object(simulator, "_compiled_urn", lambda: None):
+            drawn = M._piecewise_quantile(dist, u)
+        assert same_bits(drawn, frozen_reference(dist)[1](u))
+
+
 class TestCompiledReplay:
-    """``quantile_replay`` of ``_urn.c`` against its numpy twin and the
-    frozen reference bisection."""
+    """``quantile_replay`` of ``_urn.c`` against the frozen reference
+    bisection."""
 
     @pytest.fixture(autouse=True)
     def compiled(self):
@@ -323,31 +336,24 @@ class TestCompiledReplay:
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(dist=piecewise_laws(), seed=st.integers(0, 2**32 - 1))
-    def test_compiled_replay_equals_twin_and_reference(self, dist, seed):
+    def test_compiled_replay_equals_reference(self, dist, seed):
         u = body_targets(dist, seed, draws=3 * LANE + 5)
-        replay = quantile_replay.BisectionReplay(dist)
-        compiled, twin = replay(u), replay._twin(u)
-        assert same_bits(compiled, twin)
-        assert same_bits(twin, frozen_reference(dist)[1](u))
+        assert same_bits(quantile_replay.BisectionReplay(dist)(u), frozen_reference(dist)[1](u))
 
     @pytest.mark.parametrize("size", [0, 1, LANE - 1, LANE, LANE + 1, 3 * LANE + 5])
     @pytest.mark.parametrize("dist", DEEPEST[:2], ids=DEEPEST_IDS[:2])
     def test_every_batch_size_replays_the_twin(self, dist, size):
-        # lanes end mid-batch, and a lane's odd last draw fills a vector alone
+        # lanes end mid-batch, and a lane's odd last draw fills a vector
+        # alone; the twin replayed is the frozen reference bisection
         u = np.random.default_rng(size).random(size) * (1.0 - dist.atom_at_one)
-        replay = quantile_replay.BisectionReplay(dist)
-        compiled = replay(u)
-        assert same_bits(compiled, replay._twin(u))
-        assert same_bits(compiled, frozen_reference(dist)[1](u))
+        assert same_bits(quantile_replay.BisectionReplay(dist)(u), frozen_reference(dist)[1](u))
 
     def test_flat_leaves_take_the_secants_midpoint(self):
         # the density is 0 on [0, 1/2): there the table's leaves have equal
         # CDFs, and the target 0 makes the secant 0/0
         dist = M.PiecewiseDensity((0.0, 0.5, 1.0), ((0.0,), (2.0,)))
         u = body_targets(dist, seed=5, draws=LANE)
-        replay = quantile_replay.BisectionReplay(dist)
-        assert same_bits(replay(u), replay._twin(u))
-        assert same_bits(replay(u), frozen_reference(dist)[1](u))
+        assert same_bits(quantile_replay.BisectionReplay(dist)(u), frozen_reference(dist)[1](u))
 
     def test_lane_matches_the_c_source(self):
         assert f"#define LANE {LANE}\n" in simulator._URN_SOURCE.read_text()

@@ -12,7 +12,9 @@ value written before the growth loop was compiled, and the ``pairs_demo`` and
 ``coupled_demo`` trees with ``edges.csv`` to the values written while growth
 still recorded the edge log beside the urn. The Poisson trees and
 the built-in models' ``check-kernel`` reports are written once more with
-the compiler disabled, through the loop's Python twin. The
+the compiler disabled, through the loop's Python twin, and the
+``poisson_cubic_gap`` tree once more by ``python -m pafit`` from a packaged
+copy run without ``cc`` on ``PATH``. The
 ``theory/`` trees of five laws are pinned to the values written before the
 integrands moved from numpy 0-d arrays to plain floats: discrete sums, the
 condensation phase's t-substitution, a density with an atom at 1, a Beta
@@ -24,6 +26,10 @@ deliberate output change updates the pinned values and says so in
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -169,7 +175,8 @@ def test_failing_rerun_keeps_the_earlier_tree(workers, tmp_path, monkeypatch):
 @pytest.fixture
 def no_compiler(monkeypatch):
     """Growth, resampling and fitness draws in a process where ``_urn.c``
-    cannot be built."""
+    cannot be built: the growth loop's Python twin and the fitness draw's
+    definition, 80 numpy bisection passes, run instead."""
 
     def fail():
         raise FileNotFoundError("no C compiler")
@@ -187,27 +194,26 @@ def test_pure_python_fallback_writes_the_pinned_poisson_trees(
         cli.cmd_simulate(config_for(name, out), out_dir=out, threads=workers)
         assert tree_digest(out / "sim") == PINNED[name]
     lines = capfd.readouterr().err.splitlines()
-    assert lines and all("growing in pure Python" in line for line in lines)
-    if workers == 1:
-        assert len(lines) == 1  # one line per process
+    # one line in all: the pool's workers inherit the caller's failed build
+    assert len(lines) == 1 and "growing in pure Python" in lines[0]
 
 
-def test_pure_python_fallback_draws_fitness_through_the_numpy_twin(
+def test_pure_python_fallback_draws_fitness_through_the_bisection(
     tmp_path, no_compiler, capfd, monkeypatch
 ):
-    # every fitness draw of the pinned density tree goes through the twin:
-    # the compiled replay is never reached
+    # every fitness draw of the pinned density tree goes through the numpy
+    # bisection: the compiled replay is never reached
     solved = []
-    twin = quantile_replay.BisectionReplay._twin
+    draw = quantile_replay.BisectionReplay.__call__
 
-    def counted_twin(self, t):
+    def counted_draw(self, t):
         solved.append(t.size)
-        return twin(self, t)
+        return draw(self, t)
 
     def compiled_law(self):
         raise AssertionError("the compiled replay was called")
 
-    monkeypatch.setattr(quantile_replay.BisectionReplay, "_twin", counted_twin)
+    monkeypatch.setattr(quantile_replay.BisectionReplay, "__call__", counted_draw)
     monkeypatch.setattr(quantile_replay.BisectionReplay, "_law", compiled_law)
     name = "poisson_cubic_gap"
     config = config_for(name, tmp_path)
@@ -215,6 +221,25 @@ def test_pure_python_fallback_draws_fitness_through_the_numpy_twin(
     assert tree_digest(tmp_path / "sim") == PINNED[name]
     assert sum(solved) == config.replicas * config.n_target  # vertex 0 included
     lines = capfd.readouterr().err.splitlines()
+    assert len(lines) == 1 and "growing in pure Python" in lines[0]
+
+
+def test_packaged_copy_without_a_compiler_writes_the_pinned_tree(tmp_path, packaged):
+    # the fallback as a user meets it: an installed copy with no cached
+    # library, run on two processes where no ``cc`` is on PATH
+    name = "poisson_cubic_gap"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(config_for(name, tmp_path).to_dict()))
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": str(packaged), "PATH": str(tmp_path / "no_cc")}
+    argv = ["simulate", "--config", str(config), "--out", str(out), "--threads", "2"]
+    done = subprocess.run(
+        [sys.executable, "-m", "pafit", *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert tree_digest(out / "sim") == PINNED[name]
+    lines = done.stderr.splitlines()
     assert len(lines) == 1 and "growing in pure Python" in lines[0]
 
 

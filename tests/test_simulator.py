@@ -8,12 +8,10 @@ the edge log read off the urn against each step's impact differences."""
 import itertools
 import math
 import os
-import shutil
 import subprocess
 import sys
 import tracemalloc
 from collections import Counter
-from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -658,17 +656,10 @@ class TestCompiledUrn:
         assert list(state.tokens) == tokens
         assert drawn == [Counter(t) for t in targets]
 
-    def test_packaged_module_finds_its_source(self, tmp_path):
+    def test_packaged_module_finds_its_source(self, tmp_path, packaged):
         # an installed pafit without _urn.c would silently grow in pure Python
-        root = Path(__file__).resolve().parents[1]
-        shutil.copy(root / "pyproject.toml", tmp_path)
-        skip = shutil.ignore_patterns("__pycache__")
-        shutil.copytree(root / "src", tmp_path / "src", ignore=skip)
-        setup = [sys.executable, "-c", "from setuptools import setup; setup()"]
-        build = setup + ["-q", "build_py", "--build-lib", str(tmp_path / "lib")]
-        subprocess.run(build, cwd=tmp_path, check=True, capture_output=True)
         probe = "from pafit import simulator as S; print(S._URN_SOURCE.is_file(), S._URN_SOURCE)"
-        env = {**os.environ, "PYTHONPATH": str(tmp_path / "lib")}
+        env = {**os.environ, "PYTHONPATH": str(packaged)}
         out = subprocess.run(
             [sys.executable, "-c", probe], cwd=tmp_path, env=env, capture_output=True, text=True
         )
