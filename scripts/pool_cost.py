@@ -16,10 +16,12 @@ over --repeats runs (median, min-max):
   spin     a pure-Python loop alone, then `workers` copies at once, which
            shows what two busy processes cost each other on this machine
   marks    one replica's fitness draws, the `measures.quantile` call of
-           `simulator.run`, through the compiled replay of `_urn.c` and
-           through the fallback bisection that runs without a compiler
-           (80 numpy passes): wall time and minor page faults (the same
-           code on a discrete law, which needs no replay)
+           `simulator.run`: the variant of `_urn.c`'s compiled replay that
+           this process selected, then the call through each variant this
+           CPU runs and through the fallback bisection that runs without a
+           compiler (80 numpy passes), in wall time, ns a draw and minor
+           page faults (the same code on a discrete law, which needs no
+           replay)
 
 A replica's process CPU time counts every thread of its worker, so a CPU
 time above its wall time shows a native thread pool (such as a BLAS
@@ -29,7 +31,6 @@ library's) busy beside the replica.
 """
 
 import argparse
-import contextlib
 import multiprocessing
 import pickle
 import resource
@@ -40,7 +41,7 @@ import time
 from pathlib import Path
 from unittest import mock
 
-from pafit import cli, measures, simulator
+from pafit import cli, measures, quantile_replay, simulator
 from pafit.config import ExperimentConfig
 
 FITNESS = {
@@ -94,15 +95,20 @@ def _shared(jobs, fn, workers: int):
     return time.perf_counter() - start, results
 
 
-def _marks(config: dict, compiled: bool):
-    """Wall time and minor page faults of replica 0's ``quantile`` call."""
+def _marks(config: dict, variant: str):
+    """Wall time and minor page faults of replica 0's ``quantile`` call,
+    with its replay through ``variant`` of ``_urn.c``, or through the
+    fallback bisection for "fallback"."""
     config = ExperimentConfig.from_dict(config)
     dist = config.distribution()
     u = simulator.ReplicaStreams(config.base_seed).fitness.random(config.n_target - 1)
-    fallback = contextlib.nullcontext() if compiled else mock.patch.object(
-        simulator, "_compiled_urn", lambda: None
-    )
-    with fallback:
+    if variant == "fallback":
+        route = mock.patch.object(simulator, "_compiled_urn", lambda: None)
+    else:
+        route = mock.patch.object(
+            quantile_replay.BisectionReplay, "__call__", lambda self, t: self.compiled(t, variant)
+        )
+    with route:
         faults, start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.perf_counter()
         measures.quantile(dist, u)
         seconds = time.perf_counter() - start
@@ -175,14 +181,18 @@ def main() -> int:
     print(f"  spin    alone {describe(spin_alone)}, {args.workers} at once {describe(spin_pooled)}"
           f" ({100 * slowdown:+.0f}%)")
 
-    simulator._compiled_urn()  # built before timing
-    marks = {True: [], False: []}
+    native = simulator._compiled_urn()  # built before timing
+    variants = native.variants if native else ()
+    print(f"  marks   selected {variants[-1] if variants else 'none (no compiler)'}")
+    routes = [*variants, "fallback"]
+    marks = {route: [] for route in routes}
     for _ in range(args.repeats):
-        for compiled in (True, False):
-            marks[compiled].append(_marks(config, compiled))
-    for compiled, name in ((True, "compiled"), (False, "fallback")):
-        seconds, faults = zip(*marks[compiled])
-        print(f"  marks   {name:10s} {describe(list(seconds))},"
+        for route in routes:
+            marks[route].append(_marks(config, route))
+    for route in routes:
+        seconds, faults = zip(*marks[route])
+        per_draw = statistics.median(seconds) / (args.n - 1) * 1e9
+        print(f"  marks   {route:10s} {describe(list(seconds))}, {per_draw:.0f} ns/draw,"
               f" minor faults {statistics.median(faults):.0f} ({min(faults)}-{max(faults)})")
     out.cleanup()
     return 0

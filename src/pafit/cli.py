@@ -266,7 +266,7 @@ def _write_aggregates(
     config: ExperimentConfig, out: Path, runs: list
 ) -> dict[int, ReplicaAggregate]:
     # every replica snapshots at the config's checkpoints; aggregate checks it
-    aggregates = {snaps[0].n: empirics.aggregate(snaps) for snaps in zip(*runs)}
+    aggregates = {a.n: a for a in empirics.aggregate(runs)}
 
     write_csv(
         out / "aggregate_trajectory.csv",

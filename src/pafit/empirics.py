@@ -93,18 +93,40 @@ def index_dtype(edges) -> np.dtype:
 
 def fitness_bins(fitness, edges, out: np.ndarray | None = None) -> np.ndarray:
     """Bin index b of each fitness f, edges[b] < f <= edges[b + 1], into
-    ``out`` (by default a new array of :func:`index_dtype`). Binned in
-    chunks, so the search's int64 indices stay small."""
+    ``out`` (by default a new array of :func:`index_dtype`): numpy's
+    ``clip(searchsorted(edges, f, "left") - 1, 0, bins - 1)``.
+
+    A search on random keys mispredicts its branches. Instead each f starts
+    at its bin under uniform edges, ceil(f * bins) - 1, and the few that lie
+    outside their bin step one bin at a time towards it. That settles any
+    sorted edges; uniform or shifted edges take at most one step. Binned in
+    chunks, so the temporaries stay small."""
     edges = np.asarray(edges, dtype=float)
     if len(edges) < 2 or edges[0] != 0.0 or edges[-1] < 1.0:
         raise MeasureError("bin edges must start at 0 and cover (0, 1]")
     fitness = np.asarray(fitness, dtype=float)
     if out is None:
         out = np.empty(len(fitness), dtype=index_dtype(edges))
+    top = len(edges) - 2  # the last bin
+    # b is right where below[b] < f <= above[b]: the edges, with the outer
+    # two opened to infinity as the clip to the first and last bin does
+    below = edges.copy()
+    below[0], below[-1] = -np.inf, np.inf
+    above = below[1:]
     for lo in range(0, len(fitness), _BIN_CHUNK):
-        part = np.searchsorted(edges, fitness[lo : lo + _BIN_CHUNK], side="left")
-        part -= 1
-        out[lo : lo + _BIN_CHUNK] = np.clip(part, 0, len(edges) - 2, out=part)
+        f = fitness[lo : lo + _BIN_CHUNK]
+        guess = f * (top + 1)
+        np.ceil(guess, out=guess)
+        guess -= 1
+        b = np.clip(guess, 0, top, out=guess).astype(np.intp)
+        wrong = np.flatnonzero((f <= below.take(b)) | (f > above.take(b)))
+        while wrong.size:
+            fw, bw = f[wrong], b[wrong]
+            bw += fw > above.take(bw)
+            bw -= fw <= below.take(bw)
+            b[wrong] = bw
+            wrong = wrong[(fw <= below.take(bw)) | (fw > above.take(bw))]
+        out[lo : lo + _BIN_CHUNK] = b
     return out
 
 
@@ -169,40 +191,64 @@ class ReplicaAggregate:
         return self.gamma_k_mean.shape[0]
 
 
-def _mean_stderr(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    rows = np.asarray(rows, dtype=float)
-    mean = rows.mean(axis=0)
-    if rows.shape[0] < 2:
+def _mean_stderr(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error over the replicas of ``tables``, indexed
+    (replica, checkpoint, ...), for each checkpoint. numpy reduces one
+    checkpoint's stack of tables row by row, but sums a column of single
+    values pairwise; the replicas go innermost for single values, so each
+    checkpoint gets the bits of its own reduction."""
+    replicas, axis = tables.shape[0], 0
+    if tables[0, 0].size == 1:
+        tables, axis = np.ascontiguousarray(np.moveaxis(tables, 0, -1)), -1
+    mean = tables.mean(axis=axis)
+    if replicas < 2:
         return mean, np.zeros_like(mean)
-    return mean, rows.std(axis=0, ddof=1) / math.sqrt(rows.shape[0])
+    return mean, tables.std(axis=axis, ddof=1) / math.sqrt(replicas)
 
 
-def aggregate(snaps: list[EmpiricalSnapshot]) -> ReplicaAggregate:
-    """Combine matched-time snapshots from independent replicas."""
-    if not snaps:
+def aggregate(runs: list[list[EmpiricalSnapshot]]) -> list[ReplicaAggregate]:
+    """Combine independent replicas' snapshots, checkpoint by checkpoint:
+    ``runs`` holds each replica's snapshots in checkpoint order, and the
+    result each checkpoint's aggregate. One stacked pass over all replicas
+    and checkpoints; each aggregate has the bits of a pass over its
+    checkpoint alone."""
+    if not runs or not runs[0]:
         raise MeasureError("nothing to aggregate")
-    first = snaps[0]
-    if any(s.n != first.n or not np.array_equal(s.edges, first.edges) for s in snaps):
+    first = runs[0]
+    if any(
+        len(run) != len(first)
+        or any(s.n != f.n or not np.array_equal(s.edges, f.edges) for s, f in zip(run, first))
+        for run in runs
+    ):
         raise MeasureError("snapshots disagree on time or binning")
-    fbar_mean, fbar_stderr = _mean_stderr(np.array([[s.fbar] for s in snaps]))
-    gamma_mean, gamma_stderr = _mean_stderr(np.stack([s.gamma_mass for s in snaps]))
-    gk_mean, gk_stderr = _mean_stderr(np.stack([s.impact_counts[:-1] / s.n for s in snaps]))
-    pk_mean, pk_stderr = _mean_stderr(np.stack([s.pk for s in snaps]))
-    return ReplicaAggregate(
-        n=first.n,
-        replicas=len(snaps),
-        edges=first.edges,
-        fbar_mean=float(fbar_mean[0]),
-        fbar_stderr=float(fbar_stderr[0]),
-        gamma_mean=gamma_mean,
-        gamma_stderr=gamma_stderr,
-        gamma_k_mean=gk_mean,
-        gamma_k_stderr=gk_stderr,
-        pk_mean=pk_mean,
-        pk_stderr=pk_stderr,
-        total_impact_mean=float(np.mean([s.total_impact for s in snaps])),
-        max_impact_mean=float(np.mean([s.max_impact for s in snaps])),
-    )
+    n = np.array([s.n for s in first])
+    fbar = np.array([[s.fbar for s in run] for run in runs])  # replica, checkpoint
+    counts = np.array([[s.gamma_counts for s in run] for run in runs])
+    impact = np.array([[s.impact_counts for s in run] for run in runs])[:, :, :-1]
+    fbar_mean, fbar_stderr = _mean_stderr(fbar)
+    gamma_mean, gamma_stderr = _mean_stderr(counts / n[:, None])
+    gk_mean, gk_stderr = _mean_stderr(impact / n[:, None, None])
+    pk_mean, pk_stderr = _mean_stderr(impact.sum(axis=3) / n[:, None])
+    totals = np.array([[(s.total_impact, s.max_impact) for s in run] for run in runs])
+    total_mean, max_mean = totals.mean(axis=0).T  # integers: their float sums are exact
+    return [
+        ReplicaAggregate(
+            n=s.n,
+            replicas=len(runs),
+            edges=s.edges,
+            fbar_mean=float(fbar_mean[c]),
+            fbar_stderr=float(fbar_stderr[c]),
+            gamma_mean=gamma_mean[c],
+            gamma_stderr=gamma_stderr[c],
+            gamma_k_mean=gk_mean[c],
+            gamma_k_stderr=gk_stderr[c],
+            pk_mean=pk_mean[c],
+            pk_stderr=pk_stderr[c],
+            total_impact_mean=float(total_mean[c]),
+            max_impact_mean=float(max_mean[c]),
+        )
+        for c, s in enumerate(first)
+    ]
 
 
 def _criterion(name: str, passed: bool, measured, threshold, **details) -> dict:

@@ -31,11 +31,14 @@ from the tables and constants prepared here:
 
 On the density 3(1-f)^2 a compiled draw costs the 12 table gathers, three
 CDF and one pdf evaluation for the jump, and about 16 passes instead of
-80: about 0.2 µs, against 1.2 µs for the 80 numpy passes (2-CPU Xeon).
-Preparing a law takes about a millisecond; a replica draws all its marks
-in one call. ``docs/DECISIONS.md`` section 8 derives the margin and records
-the checks; section 20 covers the compiled replay and section 21 the
-fallback.
+80. ``_urn.c`` runs these over 8 draws at a time with AVX-512, 4 with AVX2
+and 2 elsewhere, whichever the CPU has: about 40-55, 60-85 and 120-150 ns
+a draw, against 1.2 µs for the 80 numpy passes (2-CPU Xeon).
+:meth:`BisectionReplay.compiled` runs a named variant. Preparing a law
+takes about a millisecond; a replica draws all its marks in one call.
+``docs/DECISIONS.md`` section 8 derives the margin and records the checks;
+section 20 covers the compiled replay, section 21 the fallback and section
+22 the wide variants.
 """
 
 from __future__ import annotations
@@ -158,6 +161,20 @@ class BisectionReplay:
                 below = self.cdf(mid) < target
                 lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
             out[start : start + CHUNK] = hi
+        return out
+
+    def compiled(self, t: np.ndarray, variant: str) -> np.ndarray | None:
+        """The compiled replay of ``t`` through the named variant of
+        ``quantile_replay`` (one of ``simulator.REPLAY_VARIANTS``); None
+        where no compiler works or this CPU lacks the variant. ``__call__``
+        runs the widest variant the CPU has."""
+        native = simulator._compiled_urn()
+        if native is None or variant not in native.variants:
+            return None
+        t = np.ascontiguousarray(t, dtype=float)
+        out = np.empty_like(t)
+        v = simulator.REPLAY_VARIANTS.index(variant)
+        native.replay_variant(ctypes.byref(self._law()), t.ctypes.data, out.ctypes.data, t.size, v)
         return out
 
     def _law(self) -> _Law:

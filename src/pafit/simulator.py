@@ -34,9 +34,11 @@ its output is the same bits. Where no C compiler works, its line-for-line
 Python twin runs instead. The same source holds the fitness inverse-CDF
 replay of :mod:`pafit.quantile_replay`, so one compile, one cached library
 and one fallback switch (:func:`_compiled_urn`) serve both; on the density
-a replica's 2e5 fitness draws take about 40-60 ms compiled and 0.24 s
-through the 80 numpy bisection passes that define them, which run where no
-compiler works. The same loop, run for one step on copies of a
+a replica's 2e5 fitness draws take about 8-11 ms compiled for AVX-512
+(12-17 ms for AVX2, 24-30 ms without either: the source picks its vector
+width at run time) and 0.24 s through the 80 numpy bisection passes that
+define them, which run where no compiler works. The same loop, run for
+one step on copies of a
 frozen state's arrays, resamples its transitions for ``kernel_contract``
 (:func:`frozen_targets`). As it appends a token, the loop
 also adds one to its owner's impact and the owner's fitness to W, so W
@@ -577,15 +579,24 @@ def _urn_grow(
 
 _URN_SOURCE = Path(__file__).with_name("_urn.c")
 _urn_loop = None  # the compiled functions once built, False once they could not be
+# every floating-point operation as written (no fused multiply-add, no
+# -ffast-math) and no -march: _urn.c picks its vector width at run time
+_URN_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+REPLAY_VARIANTS = ("baseline", "avx2", "avx512f")  # of quantile_replay in _urn.c, by number
 
 
 @dataclass(frozen=True)
 class _Native:
     """The functions of ``_urn.c``: ``grow`` is called as :func:`_urn_grow`,
-    ``replay`` as ``quantile_replay(law, t, out, n)`` of the C source."""
+    ``replay`` as ``quantile_replay(law, t, out, n)`` of the C source and
+    ``replay_variant`` as ``quantile_replay_variant(law, t, out, n, v)``.
+    ``variants`` names the variants this CPU runs, narrowest first;
+    ``replay`` runs the last."""
 
     grow: Callable
     replay: Callable
+    replay_variant: Callable
+    variants: tuple[str, ...]
 
 
 def _compiled_urn() -> _Native | None:
@@ -618,8 +629,7 @@ def _build_urn() -> _Native:
             fd, tmp = tempfile.mkstemp(suffix=".so", dir=directory)
             os.close(fd)
             try:
-                flags = ["-O2", "-ffp-contract=off", "-shared", "-fPIC"]
-                command = ["cc", *flags, "-o", tmp, str(_URN_SOURCE)]
+                command = ["cc", *_URN_FLAGS, "-o", tmp, str(_URN_SOURCE)]
                 subprocess.run(command, check=True, capture_output=True)
                 os.replace(tmp, lib)
             finally:
@@ -656,4 +666,11 @@ def _build_urn() -> _Native:
     replay = lib.quantile_replay
     replay.restype = None
     replay.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_long]
-    return _Native(loop, replay)
+    variant = lib.quantile_replay_variant
+    variant.restype = ctypes.c_int
+    variant.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_long, ctypes.c_int]
+    supported = lib.quantile_replay_supported
+    supported.restype = ctypes.c_int
+    supported.argtypes = [ctypes.c_int]
+    variants = tuple(name for v, name in enumerate(REPLAY_VARIANTS) if supported(v))
+    return _Native(loop, replay, variant, variants)

@@ -7,6 +7,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pafit import empirics as E
 from pafit import limit_theory as LT
@@ -104,16 +106,15 @@ class TestSnapshot:
         # snapshots bincount prefixes of one index
         state = S.new_graph(cubic_gap, 1.0, S.PoissonOutdegree(), seed=17)
         S.run(state, 300, bins=7, k_max=3)
-        edges, searched, search = E.uniform_edges(7), [], np.searchsorted
+        binned, fitness_bins = [], E.fitness_bins
 
-        def counted(a, v, *args, **kwargs):
-            if len(a) == len(edges):  # a bin search, not one of the sampler's
-                searched.append(len(v))
-            return search(a, v, *args, **kwargs)
+        def counted(fitness, *args, **kwargs):
+            binned.append(len(fitness))
+            return fitness_bins(fitness, *args, **kwargs)
 
-        with mock.patch.object(np, "searchsorted", counted):
+        with mock.patch.object(E, "fitness_bins", counted):
             snaps = S.run(state, 3000, schedule=[300, 1000, 3000], bins=7, k_max=3)
-        assert searched == [300, 2700]
+        assert binned == [300, 2700]
         assert [s.n for s in snaps] == [300, 1000, 3000]
         fresh = binned_snapshot(state, 7, k_max=3)
         assert np.array_equal(snaps[-1].gamma_counts, fresh.gamma_counts)
@@ -128,6 +129,34 @@ class TestSnapshot:
             assert index.dtype == dtype
             b = index.astype(int)
             assert np.all(edges[b] < fitness) and np.all(fitness <= edges[b + 1])
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_fitness_bins_equal_the_search(self, data):
+        # the definition is numpy's search; edges are uniform, shifted off
+        # atoms, or any sorted values (repeats allowed) from 0 to 1 or beyond
+        bins = data.draw(st.integers(1, 300), label="bins")
+        kind = data.draw(st.sampled_from(["uniform", "shifted", "sorted"]), label="kind")
+        edges = E.uniform_edges(bins)
+        if kind == "shifted" and bins > 1:
+            atoms = data.draw(st.lists(st.sampled_from(edges[1:-1].tolist()), min_size=1,
+                                       max_size=3, unique=True), label="atoms")
+            points = [(a, 1.0 / (len(atoms) + 1)) for a in atoms] + [(1.0, 1.0 / (len(atoms) + 1))]
+            edges = E.collision_free_edges(M.FiniteDiscrete(points), bins)
+            assert not set(atoms) & set(edges.tolist())
+        elif kind == "sorted":
+            inner = data.draw(st.lists(st.floats(0.0, 1.0), max_size=40), label="inner")
+            top = data.draw(st.sampled_from([1.0, 1.25]), label="top")
+            edges = np.array([0.0, *sorted(inner), top])
+        fitness = np.concatenate([
+            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            [1.0, 5e-324], np.random.default_rng(bins).uniform(0.0, 1.0, 2000),
+            data.draw(st.lists(st.floats(5e-324, 1.0), max_size=20), label="fitness"),
+        ])
+        index = E.fitness_bins(fitness, edges)
+        searched = np.clip(np.searchsorted(edges, fitness, "left") - 1, 0, len(edges) - 2)
+        assert index.dtype == E.index_dtype(edges)
+        assert np.array_equal(index, searched)
 
     @pytest.mark.parametrize("edges", [[0.1, 1.0], [0.0, 0.9], [0.0]])
     def test_bin_edges_must_cover_the_unit_interval(self, edges):
@@ -273,11 +302,12 @@ class TestCondensation:
 
 class TestAggregate:
     def test_mean_and_stderr(self, two_point):
-        snaps = []
+        runs = []
         for replica in range(3):
             state = S.new_graph(two_point, 2.0, S.FixedOutdegree(), seed=23, replica=replica)
-            snaps.append(S.run(state, 512, bins=8, k_max=4)[-1])
-        agg = E.aggregate(snaps)
+            runs.append(S.run(state, 512, bins=8, k_max=4))
+        agg = E.aggregate(runs)[-1]
+        snaps = [run[-1] for run in runs]
         fbars = np.array([s.fbar for s in snaps])
         assert agg.fbar_mean == pytest.approx(fbars.mean())
         assert agg.fbar_stderr == pytest.approx(fbars.std(ddof=1) / np.sqrt(3))
@@ -289,14 +319,39 @@ class TestAggregate:
         state = S.new_graph(two_point, 2.0, S.FixedOutdegree(), seed=23)
         snaps = S.run(state, 64, bins=8, k_max=4)
         with pytest.raises(M.MeasureError):
-            E.aggregate([snaps[-1], snaps[-2]])
+            E.aggregate([[snaps[-1]], [snaps[-2]]])
+        with pytest.raises(M.MeasureError):
+            E.aggregate([snaps, snaps[:-1]])
 
     def test_aggregation_order_invariant(self, two_point):
-        snaps = []
+        runs = []
         for replica in range(3):
             state = S.new_graph(two_point, 2.0, S.FixedOutdegree(), seed=29, replica=replica)
-            snaps.append(S.run(state, 256, bins=8, k_max=4)[-1])
-        a = E.aggregate(snaps)
-        b = E.aggregate(list(reversed(snaps)))
+            runs.append(S.run(state, 256, bins=8, k_max=4))
+        a = E.aggregate(runs)[-1]
+        b = E.aggregate(list(reversed(runs)))[-1]
         assert a.fbar_mean == b.fbar_mean
         assert np.array_equal(a.gamma_mean, b.gamma_mean)
+
+    @pytest.mark.parametrize("bins, k_max", [(8, 4), (1, 1)])
+    @pytest.mark.parametrize("replicas", [2, 9])
+    def test_every_checkpoint_has_the_bits_of_its_own_stack(self, two_point, replicas, bins, k_max):
+        # numpy sums one checkpoint's stack of tables row by row but a
+        # column of single values pairwise, which differs from 8 replicas up
+        runs = []
+        for replica in range(replicas):
+            state = S.new_graph(two_point, 2.0, S.PoissonOutdegree(), seed=31, replica=replica)
+            runs.append(S.run(state, 300, bins=bins, k_max=k_max))
+        for agg, snaps in zip(E.aggregate(runs), zip(*runs)):
+            for name, rows in [
+                ("fbar", np.array([[s.fbar] for s in snaps])),
+                ("gamma", np.stack([s.gamma_mass for s in snaps])),
+                ("gamma_k", np.stack([s.impact_counts[:-1] / s.n for s in snaps])),
+                ("pk", np.stack([s.pk for s in snaps])),
+            ]:
+                mean, stderr = rows.mean(axis=0), rows.std(axis=0, ddof=1) / math.sqrt(replicas)
+                got = np.array([getattr(agg, f"{name}_mean"), getattr(agg, f"{name}_stderr")])
+                assert got.tobytes() == np.array([mean.reshape(got[0].shape),
+                                                  stderr.reshape(got[0].shape)]).tobytes(), name
+            assert agg.total_impact_mean == np.mean([s.total_impact for s in snaps])
+            assert agg.max_impact_mean == np.mean([s.max_impact for s in snaps])

@@ -358,6 +358,64 @@ class TestCompiledReplay:
     def test_lane_matches_the_c_source(self):
         assert f"#define LANE {LANE}\n" in simulator._URN_SOURCE.read_text()
 
+    # every variant of quantile_replay this CPU runs, called by name; the
+    # tests above run the one that BisectionReplay.__call__ selects
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(dist=piecewise_laws(), seed=st.integers(0, 2**32 - 1))
+    def test_variant_equals_reference(self, variant, dist, seed):
+        u = body_targets(dist, seed, draws=3 * LANE + 5)
+        assert same_bits(replay_variant(dist, u, variant), frozen_reference(dist)[1](u))
+
+    @pytest.mark.parametrize("dist", DEEPEST[:2], ids=DEEPEST_IDS[:2])
+    def test_variant_replays_every_batch_size(self, variant, dist):
+        # a batch ends mid-vector and mid-lane, and a lane's last vector
+        # fills its spare elements with the last draw
+        width = VECTOR_WIDTH[variant]
+        for size in sorted({0, 1, width - 1, width, width + 1, LANE - 1, LANE + 1, 3 * LANE + 5}):
+            u = np.random.default_rng(size).random(size) * (1.0 - dist.atom_at_one)
+            assert same_bits(replay_variant(dist, u, variant), frozen_reference(dist)[1](u)), size
+
+    def test_variant_takes_the_secants_midpoint_on_flat_leaves(self, variant):
+        dist = M.PiecewiseDensity((0.0, 0.5, 1.0), ((0.0,), (2.0,)))
+        u = body_targets(dist, seed=5, draws=LANE)
+        assert same_bits(replay_variant(dist, u, variant), frozen_reference(dist)[1](u))
+
+    def test_variant_on_dipping_density(self, variant):
+        u = body_targets(DIPPING, seed=7, draws=20_000)
+        assert same_bits(replay_variant(DIPPING, u, variant), frozen_reference(DIPPING)[1](u))
+
+    @pytest.mark.parametrize("dist", DEEPEST, ids=DEEPEST_IDS)
+    def test_variant_keeps_the_deepest_jumps_exact(self, variant, dist, monkeypatch):
+        monkeypatch.setattr(quantile_replay, "JUMP_SPAN", 2.0**-30)
+        u = body_targets(dist, seed=11, draws=20_000)
+        assert same_bits(replay_variant(dist, u, variant), frozen_reference(dist)[1](u))
+
+    def test_variant_makes_all_80_passes(self, variant):
+        # below 2^-80 no mid is a fixed point, so these draws stop only
+        # after their last pass: the target 0 ends at hi = 2^-80 exactly
+        dist = DEEPEST[0]
+        u = np.array([0.0, 5e-324, 1e-300, 1e-30, 1e-25, 0.5, 0.0])
+        drawn = replay_variant(dist, u, variant)
+        assert drawn[0] == drawn[-1] == 2.0**-80
+        assert same_bits(drawn, frozen_reference(dist)[1](u))
+
+
+VECTOR_WIDTH = {"baseline": 2, "avx2": 4, "avx512f": 8}  # draws per vector of each variant
+
+
+@pytest.fixture(scope="module", params=simulator.REPLAY_VARIANTS)
+def variant(request):
+    """A variant of quantile_replay, skipped where this CPU cannot run it."""
+    native = simulator._compiled_urn()
+    if native is None or request.param not in native.variants:
+        pytest.skip(f"no compiled {request.param} replay on this machine")
+    return request.param
+
+
+def replay_variant(dist, u, variant):
+    return quantile_replay.BisectionReplay(dist).compiled(u, variant)
+
 
 class TestQuantileProperties:
     @settings(max_examples=120, deadline=None, derandomize=True)

@@ -8,6 +8,8 @@ the edge log read off the urn against each step's impact differences."""
 import itertools
 import math
 import os
+import re
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -664,3 +666,21 @@ class TestCompiledUrn:
             [sys.executable, "-c", probe], cwd=tmp_path, env=env, capture_output=True, text=True
         )
         assert out.stdout.split() == ["True", str(tmp_path / "lib" / "pafit" / "_urn.c")]
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+    def test_source_builds_cleanly_without_fused_multiply_adds(self, tmp_path):
+        # the build's own flags keep every floating-point operation as
+        # written and tune for no CPU: _urn.c selects its vectors at run time
+        flags = S._URN_FLAGS
+        assert "-ffp-contract=off" in flags
+        assert not [f for f in flags if f.startswith("-march") or f in ("-ffast-math", "-Ofast")]
+        lib = tmp_path / "urn.so"
+        # -Wpsabi warns where a vector argument's ABI depends on the target
+        command = ["cc", *flags, "-Wall", "-Wextra", "-Werror", "-o", str(lib), str(S._URN_SOURCE)]
+        built = subprocess.run(command, capture_output=True, text=True)
+        assert built.returncode == 0, built.stderr
+        if shutil.which("objdump") is not None:
+            listing = subprocess.run(
+                ["objdump", "-d", str(lib)], capture_output=True, text=True, check=True
+            ).stdout
+            assert not re.findall(r"\bv(fmadd|fmsub|fnmadd)\w*", listing)
