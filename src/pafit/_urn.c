@@ -1,8 +1,8 @@
-/* The two compiled functions of pafit, built together by
+/* The compiled functions of pafit, built together by
    pafit.simulator._build_urn: urn_grow, the growth loop, and below it
-   quantile_replay, the fitness inverse CDF. Where this source cannot be
-   built, urn_grow's Python twin runs instead, and the inverse CDF's
-   definition, 80 plain bisection passes in numpy: the same results.
+   quantile_replay_variant, the fitness inverse CDF. Where this source
+   cannot be built, urn_grow's Python twin runs instead, and the inverse
+   CDF's definition, 80 plain bisection passes in numpy: the same results.
 
    The token-urn growth loop of pafit.simulator._grow for the built-in models.
 
@@ -80,9 +80,10 @@ out:
    -(cdf(mid) < t), over the doubles' bits. Vector arithmetic is per
    element, the same IEEE operations as the scalar code.
 
-   The source holds three variants of the lane, and quantile_replay runs
-   the widest one that the CPU supports (quantile_replay_variant runs a
-   named one):
+   The source holds three variants of the lane. quantile_replay_variant
+   runs a named one, and quantile_replay_supported tells which ones the
+   CPU runs; pafit.simulator._build_urn asks once and the replay then
+   runs the widest:
 
    - baseline: the descent and the jump one draw at a time, then passes
      over two draws at a time in a vector of two doubles. Each pass
@@ -369,7 +370,8 @@ NAME##_lane(const struct law *w, const double *restrict t, double *restrict out,
                                                                                                    \
     /* the table descent, level by level; the last vector's spare elements                         \
        repeat the last draw */                                                                     \
-    for (long i = 0; i < size + V; i++) {                                                          \
+    long full = (size + V - 1) / V * V; /* the elements that whole vectors cover */                \
+    for (long i = 0; i < full; i++) {                                                              \
         ts[i] = t[i < size ? i : size - 1];                                                        \
         at[i] = i;                                                                                 \
         node[i] = 0;                                                                               \
@@ -383,7 +385,7 @@ NAME##_lane(const struct law *w, const double *restrict t, double *restrict out,
             leaf = 2 * leaf + 1 - (NAME##_vi)(NAME##_gather(law.heap, leaf) < target);             \
             memcpy(node + i, &leaf, sizeof leaf);                                                  \
         }                                                                                          \
-    for (long i = 0; i < size + V; i++) {                                                          \
+    for (long i = 0; i < full; i++) {                                                              \
         node[i] -= (1L << law.levels) - 1; /* the leaf's index at the last level */                \
         lo[i] = law.bounds[node[i]];                                                               \
         hi[i] = law.bounds[node[i] + 1];                                                           \
@@ -503,9 +505,10 @@ int quantile_replay_supported(int v)
 }
 
 /* The replay through variant v (BASELINE, AVX2 or AVX512F); -1, with
-   nothing drawn, where this CPU or this build lacks it. The lanes are
-   called directly: through a function pointer the baseline's lane ran
-   about 3% slower. */
+   nothing drawn, where this CPU or this build lacks it. The caller picks
+   the variant once, from quantile_replay_supported. The lanes are called
+   directly: through a function pointer the baseline's lane ran about 3%
+   slower. */
 int quantile_replay_variant(const struct law *w, const double *t, double *out, long n, int v)
 {
     if (v < 0 || v >= VARIANTS || !quantile_replay_supported(v))
@@ -522,13 +525,4 @@ int quantile_replay_variant(const struct law *w, const double *t, double *out, l
             lane(w, t + start, out + start, size);
     }
     return 0;
-}
-
-/* The replay through the widest variant this CPU runs. */
-void quantile_replay(const struct law *w, const double *t, double *out, long n)
-{
-    int v = VARIANTS - 1;
-    while (!quantile_replay_supported(v))
-        v--;
-    quantile_replay_variant(w, t, out, n, v);
 }

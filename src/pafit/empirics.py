@@ -196,7 +196,13 @@ def _mean_stderr(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (replica, checkpoint, ...), for each checkpoint. numpy reduces one
     checkpoint's stack of tables row by row, but sums a column of single
     values pairwise; the replicas go innermost for single values, so each
-    checkpoint gets the bits of its own reduction."""
+    checkpoint gets the bits of its own reduction.
+
+    That bit equality rests on numpy's reduction order, an implementation
+    detail: row by row along a strided axis, pairwise from 8 elements up
+    along a contiguous one. ``tests/test_empirics.py``'s
+    ``test_every_checkpoint_has_the_bits_of_its_own_stack`` guards it
+    (2 and 9 replicas, one bin and eight)."""
     replicas, axis = tables.shape[0], 0
     if tables[0, 0].size == 1:
         tables, axis = np.ascontiguousarray(np.moveaxis(tables, 0, -1)), -1

@@ -7,8 +7,8 @@ else ``hi = mid``), with ``cdf`` (:meth:`BisectionReplay.cdf`) the
 per-piece antiderivative by Horner's rule in ``npoly.polyval``'s order,
 ``+ cum[j]``, ``- base[j]``. Where no C compiler works,
 :meth:`BisectionReplay.__call__` runs exactly these passes. Elsewhere
-``quantile_replay`` of ``_urn.c``, compiled and loaded with the growth
-loop (``simulator._compiled_urn``), returns the same bits in three steps,
+``quantile_replay_variant`` of ``_urn.c``, compiled and loaded with the
+growth loop (``simulator._compiled_urn``), returns the same bits in three steps,
 from the tables and constants prepared here:
 
 1. The first 12 levels of the bisection tree are tabulated once per call
@@ -32,7 +32,8 @@ from the tables and constants prepared here:
 On the density 3(1-f)^2 a compiled draw costs the 12 table gathers, three
 CDF and one pdf evaluation for the jump, and about 16 passes instead of
 80. ``_urn.c`` runs these over 8 draws at a time with AVX-512, 4 with AVX2
-and 2 elsewhere, whichever the CPU has: about 40-55, 60-85 and 120-150 ns
+and 2 elsewhere, the widest the CPU has (``simulator._build_urn`` asks
+once): about 40-55, 60-85 and 120-150 ns
 a draw, against 1.2 µs for the 80 numpy passes (2-CPU Xeon).
 :meth:`BisectionReplay.compiled` runs a named variant. Preparing a law
 takes about a millisecond; a replica draws all its marks in one call.
@@ -145,12 +146,11 @@ class BisectionReplay:
         return acc
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
-        t = np.ascontiguousarray(t, dtype=float)
-        out = np.empty_like(t)
         native = simulator._compiled_urn()
         if native is not None:
-            native.replay(ctypes.byref(self._law()), t.ctypes.data, out.ctypes.data, t.size)
-            return out
+            return self.compiled(t, native.variants[-1])
+        t = np.ascontiguousarray(t, dtype=float)
+        out = np.empty_like(t)
         # no compiler: the definition itself, 80 plain passes
         for start in range(0, t.size, CHUNK):
             target = t[start : start + CHUNK]
@@ -165,7 +165,7 @@ class BisectionReplay:
 
     def compiled(self, t: np.ndarray, variant: str) -> np.ndarray | None:
         """The compiled replay of ``t`` through the named variant of
-        ``quantile_replay`` (one of ``simulator.REPLAY_VARIANTS``); None
+        ``quantile_replay_variant`` (one of ``simulator.REPLAY_VARIANTS``); None
         where no compiler works or this CPU lacks the variant. ``__call__``
         runs the widest variant the CPU has."""
         native = simulator._compiled_urn()
@@ -178,8 +178,8 @@ class BisectionReplay:
         return out
 
     def _law(self) -> _Law:
-        """The tables and constants that ``quantile_replay`` of ``_urn.c``
-        reads; the arrays stay referenced by ``self``."""
+        """The tables and constants that ``quantile_replay_variant`` of
+        ``_urn.c`` reads; the arrays stay referenced by ``self``."""
         self._arrays = [
             np.ascontiguousarray(getattr(self, name), dtype=float) for name in _Law.ARRAYS
         ]

@@ -582,19 +582,17 @@ _urn_loop = None  # the compiled functions once built, False once they could not
 # every floating-point operation as written (no fused multiply-add, no
 # -ffast-math) and no -march: _urn.c picks its vector width at run time
 _URN_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-REPLAY_VARIANTS = ("baseline", "avx2", "avx512f")  # of quantile_replay in _urn.c, by number
+REPLAY_VARIANTS = ("baseline", "avx2", "avx512f")  # of _urn.c's quantile_replay_variant, by number
 
 
 @dataclass(frozen=True)
 class _Native:
-    """The functions of ``_urn.c``: ``grow`` is called as :func:`_urn_grow`,
-    ``replay`` as ``quantile_replay(law, t, out, n)`` of the C source and
-    ``replay_variant`` as ``quantile_replay_variant(law, t, out, n, v)``.
-    ``variants`` names the variants this CPU runs, narrowest first;
-    ``replay`` runs the last."""
+    """The functions of ``_urn.c``: ``grow`` is called as :func:`_urn_grow`
+    and ``replay_variant`` as ``quantile_replay_variant(law, t, out, n, v)``
+    of the C source. ``variants`` names the variants this CPU runs,
+    narrowest first; the fitness draws run the last."""
 
     grow: Callable
-    replay: Callable
     replay_variant: Callable
     variants: tuple[str, ...]
 
@@ -663,9 +661,6 @@ def _build_urn() -> _Native:
             u.ctypes.data, len(u), pos,
         )
 
-    replay = lib.quantile_replay
-    replay.restype = None
-    replay.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_long]
     variant = lib.quantile_replay_variant
     variant.restype = ctypes.c_int
     variant.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_long, ctypes.c_int]
@@ -673,4 +668,4 @@ def _build_urn() -> _Native:
     supported.restype = ctypes.c_int
     supported.argtypes = [ctypes.c_int]
     variants = tuple(name for v, name in enumerate(REPLAY_VARIANTS) if supported(v))
-    return _Native(loop, replay, variant, variants)
+    return _Native(loop, variant, variants)

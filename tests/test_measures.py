@@ -5,7 +5,10 @@ mpmath quadrature or hand antiderivatives, independently of the production
 integration paths.
 """
 
+import ctypes
 import math
+import mmap
+import multiprocessing
 from unittest import mock
 
 import mpmath
@@ -400,6 +403,17 @@ class TestCompiledReplay:
         assert drawn[0] == drawn[-1] == 2.0**-80
         assert same_bits(drawn, frozen_reference(dist)[1](u))
 
+    def test_variant_stays_inside_its_arrays(self, variant):
+        # every array the replay reads or writes sits flush against an
+        # inaccessible region, once after one and once before one: a read
+        # or write past either end faults the child that runs it
+        child = multiprocessing.get_context("fork").Process(
+            target=_replay_between_guards, args=(variant,)
+        )
+        child.start()
+        child.join()
+        assert child.exitcode == 0, f"the {variant} replay exited with {child.exitcode}"
+
 
 VECTOR_WIDTH = {"baseline": 2, "avx2": 4, "avx512f": 8}  # draws per vector of each variant
 
@@ -415,6 +429,50 @@ def variant(request):
 
 def replay_variant(dist, u, variant):
     return quantile_replay.BisectionReplay(dist).compiled(u, variant)
+
+
+GUARD = 1 << 16  # bytes of each inaccessible region: more than a table level of doubles
+
+
+def _guarded(a, flush_end: bool, keep: list) -> np.ndarray:
+    """A copy of the doubles ``a`` in a mapping between two inaccessible
+    regions, flush against the one after it or the one before it."""
+    a = np.ascontiguousarray(a, dtype=float)
+    body = -(-max(a.nbytes, 1) // mmap.PAGESIZE) * mmap.PAGESIZE
+    region = mmap.mmap(-1, 2 * GUARD + body)
+    start = ctypes.addressof(ctypes.c_char.from_buffer(region))
+    libc = ctypes.CDLL(None, use_errno=True)
+    libc.mprotect.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int]
+    for guard in (start, start + GUARD + body):
+        if libc.mprotect(guard, GUARD, 0):  # PROT_NONE
+            raise OSError(ctypes.get_errno(), "mprotect")
+    offset = GUARD + (body - a.nbytes if flush_end else 0)
+    copy = np.frombuffer(region, dtype=float, count=a.size, offset=offset)
+    copy[:] = a.ravel()
+    keep.append(region)
+    return copy
+
+
+def _replay_between_guards(variant: str) -> None:
+    """Run ``variant`` with its law's tables, targets and output each
+    guarded by :func:`_guarded`, on the batch sizes that end a vector or a
+    lane early; each result must equal the unguarded one."""
+    native = simulator._compiled_urn()
+    v = simulator.REPLAY_VARIANTS.index(variant)
+    width = VECTOR_WIDTH[variant]
+    flat = M.PiecewiseDensity((0.0, 0.5, 1.0), ((0.0,), (2.0,)))
+    for dist in [*DEEPEST, flat]:
+        replay = quantile_replay.BisectionReplay(dist)
+        for size in sorted({0, 1, width - 1, width, width + 1, LANE - 1, LANE, LANE + 1}):
+            u = np.random.default_rng(size).random(size) * (1.0 - dist.atom_at_one)
+            for flush_end in (False, True):
+                keep = []
+                law = replay._law()
+                for name in quantile_replay._Law.ARRAYS:
+                    setattr(law, name, _guarded(getattr(replay, name), flush_end, keep).ctypes.data)
+                t, out = _guarded(u, flush_end, keep), _guarded(np.zeros(size), flush_end, keep)
+                native.replay_variant(ctypes.byref(law), t.ctypes.data, out.ctypes.data, size, v)
+                assert same_bits(out, replay.compiled(u, variant))
 
 
 class TestQuantileProperties:
